@@ -1,6 +1,6 @@
 """Capture the golden answers in ``golden.json``.
 
-    python3 perfbench/capture.py [--workload NAME ...]
+    python3 perfbench/capture.py
 
 Runs every pool instance of every workload once, untraced, through the
 same request and answer code the benchmark uses, and records the answers.
@@ -13,7 +13,6 @@ to the same answers.
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import sys
@@ -149,23 +148,19 @@ def capture(name: str, tmp: Path) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", action="append", choices=("solve", "ties", "dynamics", "cli"))
-    ap.add_argument("--golden", type=Path, default=HERE / "golden.json")
-    args = ap.parse_args()
     import_coalstab()
     from workloads import WORKLOADS
 
-    golden = json.loads(args.golden.read_text()) if args.golden.is_file() else {}
+    golden = {}
     scratch = ROOT / ".perfbench_run"
     scratch.mkdir(exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix="capture-", dir=scratch))
     try:
-        for name in args.workload or WORKLOADS:
+        for name in WORKLOADS:
             golden[name] = capture(name, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    args.golden.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    (HERE / "golden.json").write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     return 0
 
 

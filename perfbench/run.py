@@ -8,7 +8,9 @@ Each request is sent only after the previous one returns.  The run builds
 its inputs from ``--seed``, checks every answer (witnesses against the game
 table, verdicts and optima against ``golden.json``), and measures until the
 requests have taken ``--seconds`` in total.  Checking happens between
-requests and is not timed.
+requests and is not timed.  ``setup_s`` is the median of several cold
+set-ups (start-up to the end of warm-up), this process's and those of
+``--setup-only`` children.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs each of the
 first requests untraced and then again with a span around every call into
@@ -39,13 +41,13 @@ T0 = perf_counter()
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_REPEATS = 3
+SETUP_RUNS = 5    # cold set-ups behind setup_s: this process's and four children's
 
 
-def import_coalstab() -> float:
-    """Import coalstab from the checkout's ``src/`` and return the seconds
-    since start-up; exit with an error if the checkout has no sources or
-    another copy of the package would be measured."""
+def import_coalstab() -> None:
+    """Import coalstab from the checkout's ``src/``; exit with an error if
+    the checkout has no sources or another copy of the package would be
+    measured."""
     init = SRC / "coalstab" / "__init__.py"
     if not init.is_file():
         sys.exit(f"error: {init} not found; run from a checkout of the repository")
@@ -54,7 +56,6 @@ def import_coalstab() -> float:
 
     if Path(coalstab.__file__).resolve() != init.resolve():
         sys.exit(f"error: coalstab imported from {coalstab.__file__}, not from {SRC}")
-    return perf_counter() - T0
 
 
 def machine() -> dict:
@@ -182,7 +183,7 @@ def run_all(args) -> int:
     total = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for name in WORKLOADS:
         cmd = [sys.executable, __file__, "--workload", name, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace), "--golden", str(args.golden)]
+               "--seconds", str(args.seconds), "--trace", str(args.trace)]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
         sys.stderr.write(proc.stderr)
         lines = proc.stdout.strip().splitlines()
@@ -205,16 +206,17 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--golden", type=Path, default=HERE / "golden.json")
+    ap.add_argument("--setup-only", action="store_true",
+                    help="set up, print the seconds since start-up and exit (one setup_s sample)")
     args = ap.parse_args()
 
-    import_s = import_coalstab()
+    import_coalstab()
     if args.workload == "all":
         return run_all(args)
     from tracing import layer_metrics
     from workloads import workload
 
-    golden = json.loads(args.golden.read_text(encoding="utf-8"))[args.workload]
+    golden = json.loads((HERE / "golden.json").read_text(encoding="utf-8"))[args.workload]
     out_dir = ROOT / ".perfbench_run"
     out_dir.mkdir(exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix="tmp-", dir=out_dir))
@@ -222,13 +224,11 @@ def main() -> int:
         print(f"# workload {args.workload}  seed {args.seed}  seconds {args.seconds}  trace {args.trace}")
         print("# " + "  ".join(f"{k} {v}" for k, v in machine().items()))
         wl = workload(args.workload, ROOT, tmp)
-        plan = wl.plan(args.seed)
-        reps = []
-        for _ in range(SETUP_REPEATS):
-            start = perf_counter()
-            inputs = wl.setup(plan)
-            reps.append(perf_counter() - start)
-        setup_s = import_s + statistics.median(reps)
+        inputs = wl.setup(wl.plan(args.seed))
+        setup_s = perf_counter() - T0
+        if args.setup_only:
+            print(setup_s)
+            return 0
 
         metrics: dict = {}
         lines = []
@@ -252,12 +252,14 @@ def main() -> int:
             who = resource.RUSAGE_CHILDREN if args.workload == "cli" else resource.RUSAGE_SELF
             p50 = 1000 * statistics.median(lat) if lat else 0.0
             t_ms, t_pct = tail(lat) if lat else (0.0, 0.0)
+            # Read before cold_setup starts children of its own.
+            rss = resource.getrusage(who).ru_maxrss / 1024
             metrics = {
                 "throughput_rps": {"value": throughput(ph, wl.pattern), "unit": "req/s"},
                 "latency_p50_ms": {"value": p50, "unit": "ms"},
                 "latency_tail_ms": {"value": 1000 * t_ms, "unit": "ms"},
-                "setup_s": {"value": setup_s, "unit": "s"},
-                "peak_rss_mb": {"value": resource.getrusage(who).ru_maxrss / 1024, "unit": "MB"},
+                "setup_s": {"value": cold_setup(args, setup_s), "unit": "s"},
+                "peak_rss_mb": {"value": rss, "unit": "MB"},
             }
             lines.append(f"# tail is p{t_pct:.1f} of {len(lat)} requests")
         attempted = sum(p.attempted for p in phases)
@@ -274,6 +276,20 @@ def main() -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
+
+
+def cold_setup(args, own: float) -> float:
+    """The median of ``SETUP_RUNS`` cold set-ups: this process's own, then
+    ``--setup-only`` children run one after another.  Each is timed from
+    start-up to the end of warm-up, so it includes the import and any lazy
+    first-call work."""
+    cmd = [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--setup-only"]
+    reps = [own]
+    for _ in range(SETUP_RUNS - 1):
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=120)
+        reps.append(float(proc.stdout.strip().splitlines()[-1]))
+    return statistics.median(reps)
 
 
 def cli_baselines(wl, tr, repeats: int = 7) -> None:

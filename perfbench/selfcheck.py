@@ -2,10 +2,12 @@
 
     python3 perfbench/selfcheck.py
 
-1. A short run with one golden answer corrupted (the one the run's first
+1. A short run in a copy of ``BENCHMARK.json``, ``perfbench/`` and
+   ``src/`` with one golden answer corrupted (the one the run's first
    request is checked against) must report ``failed`` > 0 and
    ``correct: false``.
-2. The same run with the real goldens must report no failure.
+2. The same run in the checkout, with the real goldens, must report no
+   failure.
 3. In a directory holding only ``BENCHMARK.json`` and ``perfbench/``, the
    benchmark must exit non-zero without printing a result.
 """
@@ -24,9 +26,9 @@ from run import HERE, ROOT, import_coalstab
 WORKLOAD, SEED, SECONDS = "dynamics", 7, "2"
 
 
-def bench(cwd: Path, *extra: str) -> subprocess.CompletedProcess:
+def bench(cwd: Path) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", str(SEED),
-           "--seconds", SECONDS, "--trace", "0", *extra]
+           "--seconds", SECONDS, "--trace", "0"]
     return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=180)
 
 
@@ -34,6 +36,15 @@ def result(proc: subprocess.CompletedProcess) -> dict:
     if proc.returncode != 0:
         sys.exit(f"benchmark exited with {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def copy_tree(dest: Path, *dirs: str) -> Path:
+    """``BENCHMARK.json`` and the named directories of the checkout, copied
+    under ``dest``."""
+    for d in dirs:
+        shutil.copytree(ROOT / d, dest / d, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", dest)
+    return dest
 
 
 def main() -> int:
@@ -47,12 +58,12 @@ def main() -> int:
         wl = workload(WORKLOAD, ROOT, tmp)
         kind, index = wl.plan(SEED)[0]
         key = wl.make(kind, index).key
+        tree = copy_tree(tmp / "corrupted", "perfbench", "src")
         golden = json.loads((HERE / "golden.json").read_text())
         golden[WORKLOAD][key]["applications"] += 1
-        bad = tmp / "golden.json"
-        bad.write_text(json.dumps(golden))
+        (tree / "perfbench" / "golden.json").write_text(json.dumps(golden))
 
-        corrupted = result(bench(ROOT, "--golden", str(bad)))
+        corrupted = result(bench(tree))
         assert corrupted["failed"] > 0 and not corrupted["correct"], corrupted
         print(f"corrupted golden {key}: failed {corrupted['failed']} of {corrupted['attempted']}")
 
@@ -60,10 +71,7 @@ def main() -> int:
         assert clean["failed"] == 0 and clean["correct"], clean
         print(f"real goldens: failed 0 of {clean['attempted']}")
 
-        bare = tmp / "bare"
-        shutil.copytree(HERE, bare / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "BENCHMARK.json", bare)
-        proc = bench(bare)
+        proc = bench(copy_tree(tmp / "bare", "perfbench"))
         last = (proc.stdout.strip().splitlines() or [""])[-1]
         assert proc.returncode != 0 and not last.startswith("{"), (proc.returncode, last)
         print(f"without sources: exit {proc.returncode}, no result")

@@ -185,7 +185,10 @@ def layer_metrics(tracer: Tracer) -> "dict[str, tuple[float, str]]":
     # Only the 14-player grand coalition makes the dc scan run to completion.
     out["stability.check_dc.ms_n14"] = (_median_ms(spans, "stability.check_dc", n=14, block=14), "ms")
     out["stability.check_dhp.ms_b11"] = (_median_ms(spans, "stability.check_dhp", block=11), "ms")
-    out["dynamics.closure_outcomes.ms_n8"] = (_median_ms(spans, "dynamics.closure_outcomes", n=8), "ms")
+    # The 8-player partition_power games under merge and split: every
+    # instance explores many partitions, whereas the closure on an additive
+    # or already stable game returns at once.
+    out["dynamics.closure_outcomes.ms_n8"] = (_median_ms(spans, "dynamics.closure_outcomes", tag="power8/ms"), "ms")
     for name in COUNTS:
         out[name] = (tracer.counts[name], "count")
     bells = tracer.counts["solver.bell"]

@@ -431,7 +431,10 @@ class Dynamics(Workload):
                 traces[f"{strategy.kind}/{rname}"] = tr.call(
                     "dynamics.iterate." + strategy.kind, iterate, g, s0, strategy, rules
                 )
-        outs = {rname: tr.call("dynamics.closure_outcomes", closure_outcomes, g, s0, rules) for rname, rules in RULE_SETS}
+        outs = {
+            rname: tr.call("dynamics.closure_outcomes", closure_outcomes, g, s0, rules, tag=f"{kind}/{rname}")
+            for rname, rules in RULE_SETS
+        }
         apps = tr.call("dynamics.applicable_rules", applicable_rules, g, Partition.grand(g.n), ALL_RULES)
         rules_of = dict(RULE_SETS)
         closed = [
