@@ -16,13 +16,20 @@ from pathlib import Path
 from typing import Sequence
 
 from .model import (
+    PARTITION_ENUM_CAP,
     CapExceededError,
     Game,
     Partition,
     format_value,
     social_welfare,
 )
-from .solver import all_maximizers, optimal_partition, optimal_partition_bounded
+from .solver import (
+    _bounded,
+    _in_rgs_order,
+    all_maximizers,
+    optimal_partition,
+    optimal_partition_bounded,
+)
 from .stability import (
     BlockMerge,
     BlockSplit,
@@ -265,17 +272,11 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
         report["max_size"] = args.max_size
     if args.all_maximizers:
         if args.max_size is not None:
-            from .model import PARTITION_ENUM_CAP, enumerate_partitions
-
             if game.n > PARTITION_ENUM_CAP:
                 raise CapExceededError(
                     f"{game.n} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
                 )
-            maxi = [
-                q
-                for q in enumerate_partitions(game.n)
-                if len(q) <= args.max_size and social_welfare(game, q) == res.optimum
-            ]
+            maxi = _in_rgs_order(_bounded(game, args.max_size, counting=True)[1], game.n)
         else:
             maxi = all_maximizers(game)
         report["maximizers"] = [str(q) for q in maxi]

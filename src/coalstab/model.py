@@ -23,6 +23,11 @@ COLLECTION_ENUM_CAP = 10  # collections over n players number Bell(n + 1)
 
 Value = Union[int, Fraction]
 
+# CPython's default int-to-str limit: every accepted value can be printed
+# back by format_value.
+MAX_VALUE_DIGITS = 4300
+_LITERAL_RE = re.compile(r"[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?(?:/(\d+))?", re.IGNORECASE)
+
 
 class CapExceededError(ValueError):
     """An operation would enumerate past its documented size cap."""
@@ -33,7 +38,9 @@ def as_value(x: object) -> Value:
 
     Accepts int, Fraction, Decimal, and strings such as ``"5"``, ``"-3/4"``
     or ``"2.5"`` (finite decimals convert exactly).  Floats and booleans are
-    rejected because exactness is load-bearing throughout this package.
+    rejected because exactness is load-bearing throughout this package, and
+    so are strings past ``MAX_VALUE_DIGITS`` digits, which could not be
+    printed back.
     """
     if isinstance(x, bool):
         raise TypeError("booleans are not game values")
@@ -44,8 +51,11 @@ def as_value(x: object) -> Value:
     if isinstance(x, Decimal):
         return as_value(Fraction(x))
     if isinstance(x, str):
+        text = x.strip()
+        if len(text) > MAX_VALUE_DIGITS or "e" in text or "E" in text:
+            _check_digits(text)
         try:
-            f = Fraction(x.strip())
+            f = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational: {x!r}") from exc
         return f.numerator if f.denominator == 1 else f
@@ -54,6 +64,24 @@ def as_value(x: object) -> Value:
             f"refusing float {x!r}: values must be exact; pass an int, Fraction, or string"
         )
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact value")
+
+
+def _check_digits(text: str) -> None:
+    """Refuse a literal whose numerator or denominator before reduction
+    would have more than MAX_VALUE_DIGITS digits, judged from its digits
+    and its power of ten before Fraction() builds that power."""
+    m = _LITERAL_RE.fullmatch(text.replace("_", ""))
+    if m is None:
+        return  # malformed: Fraction() says so
+    whole, frac, exp, den = m.groups("")
+    digits = len((whole + frac).lstrip("0"))
+    # The literal is (digits)·10**power, or whole/den; a long exponent is
+    # refused before int() reads it.
+    power = int(exp or 0) - len(frac) if len(exp) <= 7 else 10 * MAX_VALUE_DIGITS
+    if max(digits + power, digits, 1 - power, len(den.lstrip("0"))) > MAX_VALUE_DIGITS:
+        raise ValueError(
+            f"rational too large: its numerator or denominator passes {MAX_VALUE_DIGITS} digits"
+        )
 
 
 def format_value(v: Value) -> str:
@@ -288,8 +316,10 @@ class Game:
     Either table-backed (a dense list of 2**n values) or rule-backed (a
     callable on masks, memoized behind a lock so concurrent reads are safe
     and deterministic).  Treat instances as immutable; the only internal
-    mutation is caching.  ``family``/``params`` carry optional provenance
-    used by the file format to round-trip generated games.
+    mutation is caching; the solver caches are written without a lock, as
+    racing writers store equal results.  ``family``/``params`` carry
+    optional provenance used by the file format to round-trip generated
+    games.
     """
 
     __slots__ = (

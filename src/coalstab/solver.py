@@ -1,25 +1,17 @@
-"""Exact welfare maximization over partitions.
+"""Exact welfare maximization over partitions, by one subset DP.
 
-``optimal_partition`` runs the standard subset dynamic program: the best
-split of a player set S considers every candidate block containing S's
-least player, so each partition is represented exactly once and the whole
-computation costs O(3**n).  The bounded variant layers the same recurrence
-by block budget.  ``all_maximizers`` enumerates partitions outright, which
-is trivially correct within its cap and doubles as the solver's oracle.
+The best grouping of a player set S considers every block containing S's
+least player, so each partition is represented exactly once and a pass
+over every set costs O(3**n) (Yeh, BIT 1986).  Stacked by block budget the
+pass gives the bounded optimum; with tie counts, a walk over the tied
+choices lists every optimal partition at a cost that grows with the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    CapExceededError,
-    Coalition,
-    Game,
-    Partition,
-    Value,
-    _iter_partition_masks,
-)
+from .model import CapExceededError, Coalition, Game, Partition, Value, _bits_of
 
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
@@ -28,12 +20,123 @@ MAXIMIZER_CAP = 10
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best achievable welfare, one witness partition, and (when known)
-    how many partitions achieve that optimum."""
+    """Best achievable welfare and one witness partition."""
 
     optimum: Value
     witness: Partition
-    maximizer_count: "int | None" = None
+
+
+def _dp(w, below=None, below_count=None, counting=False, cells=None):
+    """One pass of the recurrence over the 2**b values ``w``.
+
+    ``best[s]`` is the largest ``w[t] + rest[s ^ t]`` over blocks ``t`` of
+    ``s`` holding its least element, where ``rest`` is ``below`` (one block
+    fewer) or, unbounded, ``best`` itself.  With ``counting``, ``count[s]``
+    is how many groupings reach ``best[s]``.  ``cells`` limits the masks.
+    """
+    size = len(w)
+    best: "list[Value]" = [0] * size
+    count = [1] * size if counting else None
+    rest_best = best if below is None else below
+    rest_count = count if below_count is None else below_count
+    for s in cells or range(1, size):
+        low = s & -s
+        rest = s ^ low
+        b = w[s]
+        t = rest
+        if count is None:
+            while t:
+                t = (t - 1) & rest
+                tm = low | t
+                cand = w[tm] + rest_best[s ^ tm]
+                if cand > b:
+                    b = cand
+        else:
+            c = 1
+            while t:
+                t = (t - 1) & rest
+                tm = low | t
+                r = s ^ tm
+                cand = w[tm] + rest_best[r]
+                if cand > b:
+                    b = cand
+                    c = rest_count[r]
+                elif cand == b:
+                    c += rest_count[r]
+            count[s] = c
+        best[s] = b
+    return best, count
+
+
+def _tie_walk(w, best, count, j: int, s: int):
+    """Every grouping of ``s`` into at most ``j`` blocks that reaches
+    ``best[j][s]``, as block tuples, least member first.
+
+    ``best`` and ``count`` are stacks of tables indexed by block budget.
+    The walk tries smaller blocks first; every tied branch completes, and
+    a node's scan stops once its branches add up to its count.  Without
+    counts it takes the first tie only: the grouping whose blocks have the
+    smallest bit patterns.
+    """
+    ties: "dict[tuple[int, int], list[int]]" = {}
+
+    def walk(s: int, j: int):
+        if j == 1 or not s:
+            yield (s,) if s else ()
+            return
+        got = ties.get((j, s))
+        if got is None:
+            got = ties[j, s] = []
+            need, low, t = count[j][s] if count else 1, s & -s, 0
+            rest = s ^ low
+            while need:
+                tm = low | t
+                if w[tm] + best[j - 1][s ^ tm] == best[j][s]:
+                    got.append(tm)
+                    need -= count[j - 1][s ^ tm] if count else 1
+                t = (t - rest) & rest
+        for tm in got:
+            for tail in walk(s ^ tm, j - 1):
+                yield (tm,) + tail
+
+    return walk(s, j)
+
+
+def _best_grouping(v: "list[Value]", mask: int) -> "tuple[Value, tuple[int, ...]]":
+    """The best value of a grouping of ``mask``'s players, and its blocks.
+
+    The DP indexes ``mask``'s own submasks: O(3**|mask|) time and
+    O(2**|mask|) memory.  Unbounded, a set of j players has the same table
+    under every budget from j up, so one table serves the whole stack.
+    """
+    expand = [0]
+    for bit in _bits_of(mask):
+        expand += [m | bit for m in expand]
+    w = [v[m] for m in expand]
+    best, _ = _dp(w)
+    top = len(w) - 1
+    b = top.bit_length()
+    return best[top], tuple(expand[t] for t in next(_tie_walk(w, [best] * (b + 1), None, b, top)))
+
+
+def _rgs(blocks: "tuple[int, ...]", n: int) -> "list[int]":
+    """Each player's block index, blocks least member first: the
+    restricted-growth string whose order enumeration follows."""
+    key = [0] * n
+    for j, m in enumerate(blocks):
+        while m:
+            low = m & -m
+            key[low.bit_length() - 1] = j
+            m ^= low
+    return key
+
+
+def _partition(blocks) -> Partition:
+    return Partition(tuple(Coalition(m) for m in blocks))
+
+
+def _in_rgs_order(groupings, n: int) -> "list[Partition]":
+    return [_partition(q) for q in sorted(groupings, key=lambda q: _rgs(q, n))]
 
 
 def optimal_partition(g: Game) -> OptResult:
@@ -48,34 +151,8 @@ def optimal_partition(g: Game) -> OptResult:
     n = g.n
     if n > SOLVER_CAP:
         raise CapExceededError(f"{n} players exceed the solver cap of {SOLVER_CAP}")
-    v = g.dense_table()
-    size = 1 << n
-    opt: list[Value] = [0] * size
-    choice = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        rest = s ^ low
-        best = None
-        best_t = 0
-        t = rest
-        while True:
-            tm = low | t
-            cand = v[tm] + opt[s ^ tm]
-            if best is None or cand >= best:
-                best = cand
-                best_t = tm
-            if t == 0:
-                break
-            t = (t - 1) & rest
-        opt[s] = best
-        choice[s] = best_t
-    blocks = []
-    s = size - 1
-    while s:
-        tm = choice[s]
-        blocks.append(Coalition(tm))
-        s ^= tm
-    result = OptResult(opt[size - 1], Partition(tuple(blocks)))
+    optimum, blocks = _best_grouping(g.dense_table(), g.full_mask)
+    result = OptResult(optimum, _partition(blocks))
     g._opt = result
     return result
 
@@ -99,60 +176,37 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
         raise CapExceededError(
             f"{n} players exceed the bounded solver cap of {BOUNDED_SOLVER_CAP}"
         )
-    v = g.dense_table()
-    size = 1 << n
-    prev: "list[Value | None]" = [None] * size
-    prev[0] = 0
-    layer_best: "list[list[Value | None]]" = [prev]
-    layer_choice: list[list[int]] = [[0] * size]
-    for _ in range(k):
-        cur: "list[Value | None]" = [None] * size
-        cur[0] = 0
-        ch = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            rest = s ^ low
-            best = None
-            best_t = 0
-            t = rest
-            while True:
-                tm = low | t
-                below = prev[s ^ tm]
-                if below is not None:
-                    cand = v[tm] + below
-                    if best is None or cand >= best:
-                        best = cand
-                        best_t = tm
-                if t == 0:
-                    break
-                t = (t - 1) & rest
-            cur[s] = best
-            ch[s] = best_t
-        layer_best.append(cur)
-        layer_choice.append(ch)
-        prev = cur
-    full = size - 1
-    for j in range(1, k + 1):
-        if j in g._bounded:
-            continue
-        blocks = []
-        s = full
-        layer = j
-        while s:
-            tm = layer_choice[layer][s]
-            blocks.append(Coalition(tm))
-            s ^= tm
-            layer -= 1
-        optimum = layer_best[j][full]
-        assert optimum is not None  # one block always suffices for j >= 1
-        g._bounded[j] = OptResult(optimum, Partition(tuple(blocks)))
+    _bounded(g, k)
     return g._bounded[k]  # type: ignore[return-value]
+
+
+def _bounded(g: Game, k: int, counting: bool = False):
+    """The layered DP for an already validated budget ``k``.
+
+    Budget 1 is the value table itself, budgets 2 .. k-1 cover every mask
+    and budget k the full mask only: about (k-2)·3**n + 2**n steps.  Caches
+    the optimum of every budget up to ``k``; with ``counting``, returns how
+    many partitions reach the k-block optimum and a lazy walk over them.
+    """
+    v = g.dense_table()
+    full = g.full_mask
+    best, count = [None, v], [None, [1] * (full + 1) if counting else None]
+    for j in range(2, k + 1):
+        layer = _dp(v, best[-1], count[-1], counting, (full,) if j == k else None)
+        best.append(layer[0])
+        count.append(layer[1])
+    for j in range(1, k + 1):
+        if j not in g._bounded:
+            g._bounded[j] = OptResult(best[j][full], _partition(next(_tie_walk(v, best, None, j, full))))
+    if counting:
+        return count[k][full], _tie_walk(v, best, count, k, full)
 
 
 def all_maximizers(g: Game) -> "list[Partition]":
     """Every partition achieving the optimum, in enumeration order.
 
-    Runs by full enumeration (Bell(n) partitions), hence the tighter cap.
+    A counting DP pass plus a walk over the tied choices: O(3**n) plus the
+    size of the output, which can reach Bell(n), hence the tighter cap.
     The result is cached on the game; callers get a fresh list each time.
     """
     if g._maximizers is None:
@@ -162,18 +216,7 @@ def all_maximizers(g: Game) -> "list[Partition]":
                 f"{n} players exceed the maximizer enumeration cap of {MAXIMIZER_CAP}"
             )
         v = g.dense_table()
-        best = None
-        found: list[tuple[int, ...]] = []
-        for masks in _iter_partition_masks([1 << i for i in range(n)]):
-            total: Value = 0
-            for m in masks:
-                total += v[m]
-            if best is None or total > best:
-                best = total
-                found = [masks]
-            elif total == best:
-                found.append(masks)
-        g._maximizers = tuple(
-            Partition(tuple(Coalition(m) for m in masks)) for masks in found
-        )
+        best, count = _dp(v, counting=True)
+        walk = _tie_walk(v, [best] * (n + 1), [count] * (n + 1), n, g.full_mask)
+        g._maximizers = tuple(_in_rgs_order(walk, n))
     return list(g._maximizers)

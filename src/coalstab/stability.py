@@ -44,12 +44,19 @@ from .model import (
     Game,
     Partition,
     Value,
-    _bits_of,
     _iter_collection_masks,
     _iter_homogeneous_masks,
     _iter_partition_masks,
 )
-from .solver import all_maximizers, optimal_partition, optimal_partition_bounded
+from .solver import (
+    _best_grouping,
+    _bounded,
+    _partition,
+    _rgs,
+    all_maximizers,
+    optimal_partition,
+    optimal_partition_bounded,
+)
 
 
 @dataclass(frozen=True)
@@ -311,25 +318,24 @@ def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
 
 def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
     """Is ``p`` the unique welfare maximizer among partitions with at most
-    ``k`` blocks?  Runs by enumeration, so the partition enumeration cap
-    applies."""
+    ``k`` blocks?  A counting layered DP, about (k-2)·3**n steps; on a tie
+    the rival is the first other maximizer in enumeration order, found by
+    a walk over the tied partitions, hence the partition enumeration cap."""
     _validate(g, p)
     _validate_bound(g, p, k)
     if g.n > PARTITION_ENUM_CAP:
         raise CapExceededError(
             f"{g.n} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
         )
-    v = g.dense_table()
-    pmasks = p.masks
-    swp = _welfare(v, pmasks)
-    for qmasks in _iter_partition_masks([1 << i for i in range(g.n)]):
-        if len(qmasks) > k or qmasks == pmasks:
-            continue
-        total = _welfare(v, qmasks)
-        if total >= swp:
-            rival = Partition(tuple(Coalition(m) for m in qmasks))
-            return Verdict(False, DefectingCollection(rival, swp, total))
-    return STABLE
+    swp = _welfare(g.dense_table(), p.masks)
+    count, maximizers = _bounded(g, k, counting=True)
+    res = optimal_partition_bounded(g, k)
+    if swp < res.optimum:
+        return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
+    if count == 1:
+        return STABLE
+    rival = min((q for q in maximizers if q != p.masks), key=lambda q: _rgs(q, g.n))
+    return Verdict(False, DefectingCollection(_partition(rival), swp, swp))
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +346,21 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
     v = g.dense_table()
     pmasks = p.masks
     # Splits: no way of cutting one block into two or more parts may gain
-    # (strict: tie).
+    # (strict: tie).  The block's best grouping leaves it whole only when
+    # no split ties or beats it.
     for i, pm in enumerate(pmasks):
-        bits = _bits_of(pm)
-        if len(bits) < 2:
+        size = pm.bit_count()
+        if size < 2:
             continue
-        if len(bits) > PARTITION_ENUM_CAP:
+        if size > PARTITION_ENUM_CAP:
             raise CapExceededError(
-                f"block {Coalition(pm)} has {len(bits)} players, past the "
+                f"block {Coalition(pm)} has {size} players, past the "
                 f"split-scan cap of {PARTITION_ENUM_CAP}"
             )
         whole = v[pm]
-        for parts in _iter_partition_masks(bits):
-            if len(parts) < 2:
-                continue
-            total = _welfare(v, parts)
-            if whole < total or (strict and whole == total):
-                return Verdict(
-                    False,
-                    BlockSplit(i, Collection(tuple(Coalition(m) for m in parts)), whole, total),
-                )
+        split, parts = _best_grouping(v, pm)
+        if whole < split or (strict and len(parts) > 1):
+            return Verdict(False, BlockSplit(i, Collection(tuple(map(Coalition, parts))), whole, split))
     # Merges: no union of two or more whole blocks may gain (strict: tie).
     k = len(pmasks)
     block_vals = [v[pm] for pm in pmasks]

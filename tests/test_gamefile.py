@@ -118,6 +118,17 @@ class TestParseTable:
         with pytest.raises(ParseError, match=message):
             parse_game(doc)
 
+    @pytest.mark.parametrize(
+        "doc,line",
+        [
+            ("representation: table\nn: 2\ndefault: 1e5000\n", "line 3"),
+            ("representation: table\nn: 2\ndefault: 0\nvalue {1,2}: 1e-9999999\n", "line 4"),
+        ],
+    )
+    def test_oversized_values_refused_with_line(self, doc, line):
+        with pytest.raises(ParseError, match=f"{line}: rational too large"):
+            parse_game(doc)
+
     def test_errors_carry_line_numbers(self):
         doc = "representation: table\nn: 2\ndefault: 0\nvalue {9}: 1\n"
         with pytest.raises(ParseError, match="line 4"):

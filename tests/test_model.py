@@ -25,6 +25,7 @@ from coalstab import (
     modified_social_welfare,
     social_welfare,
 )
+from coalstab.model import MAX_VALUE_DIGITS
 from conftest import bell
 
 
@@ -68,6 +69,23 @@ class TestValues:
     def test_format_round_trips(self):
         for v in (0, -7, Fraction(3, 2), Fraction(-1, 3)):
             assert as_value(format_value(v)) == v
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4299", "-100e4297", "0.5e4300", "1e-4299", "9" * 4300, "1/" + "7" * 4300, "2.5E3"],
+    )
+    def test_largest_literals_print_back(self, text):
+        v = as_value(text)
+        assert as_value(format_value(v)) == v
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4300", "1000e4297", "1e-4300", "0.1e-4299", "9" * 4301, "1/" + "7" * 4301,
+         "0e5000", "1e1000000", "1E-123456789"],
+    )
+    def test_literals_past_the_digit_limit_refused(self, text):
+        with pytest.raises(ValueError, match=f"passes {MAX_VALUE_DIGITS} digits"):
+            as_value(text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 block-count-bounded variant, and maximizer enumeration — each checked
 against plain enumeration."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -151,3 +153,44 @@ class TestAllMaximizers:
         g = Game.from_rule(MAXIMIZER_CAP + 1, lambda m: 0)
         with pytest.raises(CapExceededError):
             all_maximizers(g)
+
+
+class TestSharedGameThreads:
+    def test_cached_entry_points_agree_across_threads(self):
+        # The caches are written without a lock; racing writers must still
+        # leave every thread with the answers a fresh game gives.
+        n, workers = 8, 8
+
+        def rule(m):
+            return Fraction(m * 2654435761 % 7, 1 + m % 3)
+
+        def answers(g):
+            return (
+                [g.mask_value(m) for m in range(1 << n)],
+                list(g.dense_table()),
+                optimal_partition(g),
+                [optimal_partition_bounded(g, k) for k in (3, 2, 5)],
+                all_maximizers(g),
+            )
+
+        expect = answers(Game.from_rule(n, rule))
+        shared = Game.from_rule(n, rule)
+        results = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = answers(shared)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expect] * workers
