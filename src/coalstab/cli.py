@@ -20,6 +20,8 @@ from .model import (
     CapExceededError,
     Game,
     Partition,
+    _check_cap,
+    _check_partition,
     format_value,
     social_welfare,
 )
@@ -129,10 +131,7 @@ def _resolve_partition(text: str, named: "dict[str, Partition]", game: Game) -> 
     else:
         known = ", ".join(sorted(named)) or "none defined"
         raise ValueError(f"unknown partition name {text!r} (known: {known})")
-    if part.union_mask != game.full_mask:
-        raise ValueError(
-            f"player-count mismatch: game has {game.n} players, partition covers {part.n}"
-        )
+    _check_partition(game, part)
     return part
 
 
@@ -272,10 +271,7 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
         report["max_size"] = args.max_size
     if args.all_maximizers:
         if args.max_size is not None:
-            if game.n > PARTITION_ENUM_CAP:
-                raise CapExceededError(
-                    f"{game.n} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
-                )
+            _check_cap(game.n, PARTITION_ENUM_CAP, "partition enumeration")
             maxi = _in_rgs_order(_bounded(game, args.max_size, counting=True)[1], game.n)
         else:
             maxi = all_maximizers(game)

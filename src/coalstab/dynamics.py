@@ -20,16 +20,18 @@ from typing import Iterable, Iterator, Union
 
 from .model import (
     PARTITION_ENUM_CAP,
-    CapExceededError,
     Coalition,
     Collection,
     Game,
     Partition,
     Value,
     _bits_of,
+    _check_cap,
+    _check_partition,
     _iter_partition_masks,
     format_value,
 )
+from .stability import _gaining_merges
 
 CLOSURE_CAP = 8
 
@@ -139,15 +141,6 @@ def _coerce_rules(rules: "Iterable[RuleName | str]") -> frozenset:
     return frozenset(out)
 
 
-def _check_partition(g: Game, p: Partition) -> None:
-    if not isinstance(p, Partition):
-        raise TypeError("expected a Partition")
-    if p.union_mask != g.full_mask:
-        raise ValueError(
-            f"player-count mismatch: game has {g.n} players, partition covers {p.n}"
-        )
-
-
 def _iter_applications(g: Game, p: Partition, rules: frozenset) -> Iterator[RuleApplication]:
     """All strictly-gaining applications, deterministic order.
 
@@ -161,30 +154,14 @@ def _iter_applications(g: Game, p: Partition, rules: frozenset) -> Iterator[Rule
     k = len(pmasks)
     bvals = [v[m] for m in pmasks]
     if RuleName.MERGE in rules:
-        for tmask in range(3, 1 << k):
-            if tmask.bit_count() < 2:
-                continue
-            union = 0
-            separate: Value = 0
-            tt = tmask
-            while tt:
-                j = (tt & -tt).bit_length() - 1
-                union |= pmasks[j]
-                separate += bvals[j]
-                tt &= tt - 1
-            gain = v[union] - separate
-            if gain > 0:
-                yield Merge(tuple(j for j in range(k) if tmask >> j & 1), gain)
+        for indices, separate, merged in _gaining_merges(v, pmasks, False):
+            yield Merge(indices, merged - separate)
     if RuleName.SPLIT in rules:
         for i, pm in enumerate(pmasks):
             bits = _bits_of(pm)
             if len(bits) < 2:
                 continue
-            if len(bits) > PARTITION_ENUM_CAP:
-                raise CapExceededError(
-                    f"block {Coalition(pm)} has {len(bits)} players, past the "
-                    f"split-scan cap of {PARTITION_ENUM_CAP}"
-                )
+            _check_cap(len(bits), PARTITION_ENUM_CAP, "split-scan", pm)
             whole = bvals[i]
             for parts in _iter_partition_masks(bits):
                 if len(parts) < 2:
@@ -384,8 +361,7 @@ def closure_outcomes(
     """
     rules = _coerce_rules(rules)
     _check_partition(g, p0)
-    if g.n > CLOSURE_CAP:
-        raise CapExceededError(f"{g.n} players exceed the closure cap of {CLOSURE_CAP}")
+    _check_cap(g.n, CLOSURE_CAP, "closure")
 
     def successors(p: Partition) -> "list[Partition]":
         seen = set()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .model import (
     MAX_PLAYERS,
@@ -47,6 +47,14 @@ class ParseError(ValueError):
     """A malformed game document; messages carry the offending line number."""
 
 
+class _BadParam(ValueError):
+    """A family parameter whose value failed to convert; ``name`` says which."""
+
+    def __init__(self, name: str, exc: Exception) -> None:
+        super().__init__(str(exc))
+        self.name = name
+
+
 FAMILIES = ("example", "generalized_odd", "partition_power", "transportation", "random")
 
 
@@ -66,41 +74,46 @@ def build_family(family: str, raw_params: "Mapping[str, str]") -> Game:
 
     Shared by the document parser and the ``generate`` command.  Raises
     ValueError on unknown families, unknown or missing parameters, and any
-    parameter that fails its family's validation.
+    parameter that fails its family's validation; a value that fails to
+    convert raises the subclass ``_BadParam``, which names the parameter.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; valid: {', '.join(FAMILIES)}")
     params = dict(raw_params)
 
-    def take(name: str, default: "str | None" = None) -> str:
-        if name in params:
-            return params.pop(name)
-        if default is not None:
-            return default
-        raise ValueError(f"family {family!r} needs parameter {name!r}")
+    def take(name: str, convert: "Callable[[str], object]", default: "str | None" = None):
+        raw = params.pop(name, default)
+        if raw is None:
+            raise ValueError(f"family {family!r} needs parameter {name!r}")
+        try:
+            return convert(raw)
+        except (TypeError, ValueError) as exc:
+            raise _BadParam(name, exc) from exc
+
+    def take_int(name: str, default: "str | None" = None) -> int:
+        return take(name, lambda raw: _parse_int(raw, name), default)
 
     if family == "example":
-        game = example_game(take("name").strip())
+        game = example_game(take("name", str.strip))
     elif family == "generalized_odd":
-        game = generalized_odd_game(_parse_int(take("n"), "n"))
+        game = generalized_odd_game(take_int("n"))
     elif family == "partition_power":
-        defining = Partition.parse(take("partition"))
-        game = partition_power_game(defining, _parse_int(take("m"), "m"))
+        game = partition_power_game(take("partition", Partition.parse), take_int("m"))
     elif family == "transportation":
         cfg = CityConfig(
-            cities=Partition.parse(take("cities")),
-            base=_parse_value_list(take("base")),
-            decay=_parse_value_list(take("decay")),
-            penalty=as_value(take("penalty")),
+            cities=take("cities", Partition.parse),
+            base=take("base", _parse_value_list),
+            decay=take("decay", _parse_value_list),
+            penalty=take("penalty", as_value),
         )
         game = transportation_game(cfg)[0]
     else:
         spec = GeneratorSpec(
-            n=_parse_int(take("n"), "n"),
-            kind=take("class", "general").strip(),
-            low=_parse_int(take("low", "0"), "low"),
-            high=_parse_int(take("high", "6"), "high"),
-            seed=_parse_int(take("seed", "0"), "seed"),
+            n=take_int("n"),
+            kind=take("class", str.strip, "general"),
+            low=take_int("low", "0"),
+            high=take_int("high", "6"),
+            seed=take_int("seed", "0"),
         )
         game = random_game(spec)
     if params:
@@ -138,6 +151,7 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     family = None
     family_line = 0
     raw_params: "dict[str, str]" = {}
+    param_lines: "dict[str, int]" = {}
     partition_entries: "list[tuple[int, str, str]]" = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -189,6 +203,7 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             if arg in raw_params:
                 raise ParseError(f"line {lineno}: duplicate parameter {arg!r}")
             raw_params[arg] = tail
+            param_lines[arg] = lineno
         elif key == "partition":
             if arg is None:
                 raise ParseError(f"line {lineno}: partition lines look like 'partition main: {{1,2}} {{3}}'")
@@ -248,6 +263,8 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             game = build_family(family, raw_params)
         except ParseError:
             raise
+        except _BadParam as exc:
+            raise ParseError(f"line {param_lines[exc.name]}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {family_line}: {exc}") from exc
         if n is not None and n != game.n:

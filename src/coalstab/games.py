@@ -7,7 +7,6 @@ generator with class certification.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -20,7 +19,8 @@ from .model import (
     Value,
     as_value,
 )
-from .stability import is_additive, is_superadditive
+from .solver import _dp
+from .stability import _singleton_sums, is_additive, is_superadditive
 
 EXAMPLE_NAMES = ("exa-a", "exa-1", "exa-miss", "exa-2", "exa-miss1")
 
@@ -169,29 +169,17 @@ def transportation_game(cfg: CityConfig) -> "tuple[Game, Callable[[Coalition | i
     n = cities.n
     cmasks = cities.masks
     base, decay = cfg.base, cfg.decay
-    memo: dict[int, Value] = {}
-    lock = threading.Lock()
 
     def cost_of_mask(m: int) -> Value:
         if m == 0:
             return 0
-        got = memo.get(m)
-        if got is not None:
-            return got
-        with lock:
-            got = memo.get(m)
-            if got is not None:
-                return got
-            size = m.bit_count()
-            pieces = [(i, cm & m) for i, cm in enumerate(cmasks) if cm & m]
-            if len(pieces) == 1:
-                i = pieces[0][0]
-                c = as_value(base[i] * size * decay[i] ** (size - 1))
-            else:
-                worst = max(base[i] * decay[i] ** (pm.bit_count() - 1) for i, pm in pieces)
-                c = as_value(cfg.penalty * size * worst)
-            memo[m] = c
-            return c
+        size = m.bit_count()
+        pieces = [(i, cm & m) for i, cm in enumerate(cmasks) if cm & m]
+        if len(pieces) == 1:
+            i = pieces[0][0]
+            return as_value(base[i] * size * decay[i] ** (size - 1))
+        worst = max(base[i] * decay[i] ** (pm.bit_count() - 1) for i, pm in pieces)
+        return as_value(cfg.penalty * size * worst)
 
     city_of = [0] * n
     for i, cm in enumerate(cmasks):
@@ -290,30 +278,12 @@ def random_game(spec: GeneratorSpec) -> Game:
     }
 
     if spec.kind is GameClass.ADDITIVE:
-        weights = [rng.randint(lo, hi) for _ in range(n)]
-        dense: list[Value] = [0] * size
-        for s in range(1, size):
-            low_bit = s & -s
-            dense[s] = dense[s ^ low_bit] + weights[low_bit.bit_length() - 1]
+        dense = _singleton_sums([rng.randint(lo, hi) for _ in range(n)])
     elif spec.kind is GameClass.GENERAL:
         dense = [0] + [rng.randint(lo, hi) for _ in range(size - 1)]
     else:
-        raw = [0] + [rng.randint(lo, hi) for _ in range(size - 1)]
-        dense = [0] * size
-        for s in range(1, size):
-            low_bit = s & -s
-            rest = s ^ low_bit
-            best = raw[s]
-            if rest:
-                t = (rest - 1) & rest
-                while True:
-                    cand = dense[low_bit | t] + dense[rest ^ t]
-                    if cand > best:
-                        best = cand
-                    if t == 0:
-                        break
-                    t = (t - 1) & rest
-            dense[s] = best
+        # The best grouping of the raw values is their superadditive closure.
+        dense = _dp([0] + [rng.randint(lo, hi) for _ in range(size - 1)])[0]
         if spec.kind is GameClass.STRICTLY_SUPERADDITIVE:
             for s in range(1, size):
                 dense[s] += s.bit_count() ** 2

@@ -85,8 +85,17 @@ def _check_digits(text: str) -> None:
 
 
 def format_value(v: Value) -> str:
-    """Render an exact value the way the parsers accept it: ``5``, ``-3/4``."""
-    return str(v)
+    """Render an exact value the way the parsers accept it: ``5``, ``-3/4``.
+
+    Sums of accepted values can pass the interpreter's int-to-str digit
+    limit; those go through Decimal, which that limit does not cover.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        if isinstance(v, Fraction):
+            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+        return str(Decimal(v))
 
 
 def _check_player_count(n: object) -> None:
@@ -94,6 +103,17 @@ def _check_player_count(n: object) -> None:
         raise TypeError("player count must be an int")
     if not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be between 1 and {MAX_PLAYERS}, got {n}")
+
+
+def _check_cap(players: int, cap: int, name: str, block: int = 0) -> None:
+    """Refuse to go past a documented size cap; a per-block cap passes the
+    block's mask as ``block``."""
+    if players > cap:
+        if block:
+            who = f"block {Coalition(block)} has {players} players, past"
+        else:
+            who = f"{players} players exceed"
+        raise CapExceededError(f"{who} the {name} cap of {cap}")
 
 
 def _bits_of(mask: int) -> list[int]:
@@ -445,6 +465,15 @@ class Game:
         return f"Game(n={self.n}{tag})"
 
 
+def _check_partition(g: Game, p: Partition) -> None:
+    if not isinstance(p, Partition):
+        raise TypeError("expected a Partition")
+    if p.union_mask != g.full_mask:
+        raise ValueError(
+            f"player-count mismatch: game has {g.n} players, partition covers {p.n}"
+        )
+
+
 def frame(collection: Collection, partition: Partition) -> Collection:
     """Regroup the collection's players by the partition's blocks.
 
@@ -634,10 +663,7 @@ def enumerate_partitions(players: "int | Coalition | Iterable[int]"):
     else:
         mask = Coalition.from_members(players).mask
     bits = _bits_of(mask)
-    if len(bits) > PARTITION_ENUM_CAP:
-        raise CapExceededError(
-            f"{len(bits)} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
-        )
+    _check_cap(len(bits), PARTITION_ENUM_CAP, "partition enumeration")
     build = Partition if mask & (mask + 1) == 0 else Collection
     for masks in _iter_partition_masks(bits):
         yield build(tuple(Coalition(m) for m in masks))
@@ -646,19 +672,13 @@ def enumerate_partitions(players: "int | Coalition | Iterable[int]"):
 def enumerate_collections(n: int) -> Iterator[Collection]:
     """Yield every collection over {1..n}; the empty collection comes first."""
     _check_player_count(n)
-    if n > COLLECTION_ENUM_CAP:
-        raise CapExceededError(
-            f"{n} players exceed the collection enumeration cap of {COLLECTION_ENUM_CAP}"
-        )
+    _check_cap(n, COLLECTION_ENUM_CAP, "collection enumeration")
     for masks in _iter_collection_masks(n):
         yield Collection(tuple(Coalition(m) for m in masks))
 
 
 def enumerate_homogeneous_partitions(p: Partition) -> Iterator[Partition]:
     """Yield every partition obtainable from ``p`` by merges and splits."""
-    if p.n > PARTITION_ENUM_CAP:
-        raise CapExceededError(
-            f"{p.n} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
-        )
+    _check_cap(p.n, PARTITION_ENUM_CAP, "partition enumeration")
     for masks in _iter_homogeneous_masks(p.masks):
         yield Partition(tuple(Coalition(m) for m in masks))

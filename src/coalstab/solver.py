@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CapExceededError, Coalition, Game, Partition, Value, _bits_of
+from .model import Coalition, Game, Partition, Value, _bits_of, _check_cap
 
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
@@ -148,9 +148,7 @@ def optimal_partition(g: Game) -> OptResult:
     cached = g._opt
     if cached is not None:
         return cached
-    n = g.n
-    if n > SOLVER_CAP:
-        raise CapExceededError(f"{n} players exceed the solver cap of {SOLVER_CAP}")
+    _check_cap(g.n, SOLVER_CAP, "solver")
     optimum, blocks = _best_grouping(g.dense_table(), g.full_mask)
     result = OptResult(optimum, _partition(blocks))
     g._opt = result
@@ -172,10 +170,7 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
     cached = g._bounded.get(k)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    if n > BOUNDED_SOLVER_CAP:
-        raise CapExceededError(
-            f"{n} players exceed the bounded solver cap of {BOUNDED_SOLVER_CAP}"
-        )
+    _check_cap(n, BOUNDED_SOLVER_CAP, "bounded solver")
     _bounded(g, k)
     return g._bounded[k]  # type: ignore[return-value]
 
@@ -211,10 +206,7 @@ def all_maximizers(g: Game) -> "list[Partition]":
     """
     if g._maximizers is None:
         n = g.n
-        if n > MAXIMIZER_CAP:
-            raise CapExceededError(
-                f"{n} players exceed the maximizer enumeration cap of {MAXIMIZER_CAP}"
-            )
+        _check_cap(n, MAXIMIZER_CAP, "maximizer enumeration")
         v = g.dense_table()
         best, count = _dp(v, counting=True)
         walk = _tie_walk(v, [best] * (n + 1), [count] * (n + 1), n, g.full_mask)

@@ -33,17 +33,18 @@ The fast checks rest on exact characterizations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .model import (
     COLLECTION_ENUM_CAP,
     PARTITION_ENUM_CAP,
-    CapExceededError,
     Coalition,
     Collection,
     Game,
     Partition,
     Value,
+    _check_cap,
+    _check_partition,
     _iter_collection_masks,
     _iter_homogeneous_masks,
     _iter_partition_masks,
@@ -186,15 +187,6 @@ class Verdict:
 STABLE = Verdict(True)
 
 
-def _validate(g: Game, p: Partition) -> None:
-    if not isinstance(p, Partition):
-        raise TypeError("expected a Partition")
-    if p.union_mask != g.full_mask:
-        raise ValueError(
-            f"player-count mismatch: game has {g.n} players, partition covers {p.n}"
-        )
-
-
 def _welfare(v: "list[Value]", masks: "tuple[int, ...]") -> Value:
     total: Value = 0
     for m in masks:
@@ -256,13 +248,13 @@ def _dc_scan(g: Game, p: Partition, strict: bool) -> Verdict:
 
 def check_dc(g: Game, p: Partition) -> Verdict:
     """Is no collection of disjoint coalitions better off on its own?"""
-    _validate(g, p)
+    _check_partition(g, p)
     return _dc_scan(g, p, False)
 
 
 def check_dc_strict(g: Game, p: Partition) -> Verdict:
     """Strict version of :func:`check_dc`: both families of inequalities sharp."""
-    _validate(g, p)
+    _check_partition(g, p)
     return _dc_scan(g, p, True)
 
 
@@ -272,7 +264,7 @@ def check_dc_strict(g: Game, p: Partition) -> Verdict:
 
 def check_dp(g: Game, p: Partition) -> Verdict:
     """Is ``p`` a social-welfare maximizer among all partitions?"""
-    _validate(g, p)
+    _check_partition(g, p)
     v = g.dense_table()
     swp = _welfare(v, p.masks)
     res = optimal_partition(g)
@@ -283,7 +275,7 @@ def check_dp(g: Game, p: Partition) -> Verdict:
 
 def check_strict_dp(g: Game, p: Partition) -> Verdict:
     """Is ``p`` the unique social-welfare maximizer?"""
-    _validate(g, p)
+    _check_partition(g, p)
     maxi = all_maximizers(g)
     if maxi == [p]:
         return STABLE
@@ -306,7 +298,7 @@ def _validate_bound(g: Game, p: Partition, k: int) -> None:
 
 def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
     """Is ``p`` welfare-maximal among partitions with at most ``k`` blocks?"""
-    _validate(g, p)
+    _check_partition(g, p)
     _validate_bound(g, p, k)
     v = g.dense_table()
     swp = _welfare(v, p.masks)
@@ -321,12 +313,9 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
     ``k`` blocks?  A counting layered DP, about (k-2)·3**n steps; on a tie
     the rival is the first other maximizer in enumeration order, found by
     a walk over the tied partitions, hence the partition enumeration cap."""
-    _validate(g, p)
+    _check_partition(g, p)
     _validate_bound(g, p, k)
-    if g.n > PARTITION_ENUM_CAP:
-        raise CapExceededError(
-            f"{g.n} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
-        )
+    _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
     swp = _welfare(g.dense_table(), p.masks)
     count, maximizers = _bounded(g, k, counting=True)
     res = optimal_partition_bounded(g, k)
@@ -352,16 +341,24 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
         size = pm.bit_count()
         if size < 2:
             continue
-        if size > PARTITION_ENUM_CAP:
-            raise CapExceededError(
-                f"block {Coalition(pm)} has {size} players, past the "
-                f"split-scan cap of {PARTITION_ENUM_CAP}"
-            )
+        _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
         whole = v[pm]
         split, parts = _best_grouping(v, pm)
         if whole < split or (strict and len(parts) > 1):
             return Verdict(False, BlockSplit(i, Collection(tuple(map(Coalition, parts))), whole, split))
     # Merges: no union of two or more whole blocks may gain (strict: tie).
+    for indices, separate, merged in _gaining_merges(v, pmasks, strict):
+        return Verdict(False, BlockMerge(indices, separate, merged))
+    return STABLE
+
+
+def _gaining_merges(
+    v: "list[Value]", pmasks: "tuple[int, ...]", strict: bool
+) -> "Iterator[tuple[tuple[int, ...], Value, Value]]":
+    """Every union of two or more whole blocks worth more (strict: at
+    least as much) than the blocks apart, as ``(indices, separate,
+    merged)``, index subsets ascending by bit pattern.  The dhp merge scan
+    and the dynamics merge rule both run on it."""
     k = len(pmasks)
     block_vals = [v[pm] for pm in pmasks]
     for tmask in range(3, 1 << k):
@@ -377,14 +374,12 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
             tt &= tt - 1
         merged = v[union]
         if separate < merged or (strict and separate == merged):
-            indices = tuple(j for j in range(k) if tmask >> j & 1)
-            return Verdict(False, BlockMerge(indices, separate, merged))
-    return STABLE
+            yield tuple(j for j in range(k) if tmask >> j & 1), separate, merged
 
 
 def check_dhp(g: Game, p: Partition) -> Verdict:
     """Is ``p`` stable against every merge/split rearrangement of itself?"""
-    _validate(g, p)
+    _check_partition(g, p)
     return _dhp_scan(g, p, False)
 
 
@@ -396,7 +391,7 @@ def check_strict_dhp(g: Game, p: Partition) -> Verdict:
     block, which the sharp split scan catches on the coarsest such cut) or
     only merges whole blocks (caught by the sharp merge scan).
     """
-    _validate(g, p)
+    _check_partition(g, p)
     return _dhp_scan(g, p, True)
 
 
@@ -414,16 +409,13 @@ def check_definitional(
     family the collection enumeration cap applies, otherwise the partition
     enumeration cap.
     """
-    _validate(g, p)
+    _check_partition(g, p)
     if isinstance(kind, str):
         kind = kind_from_string(kind)
     v = g.dense_table()
     pmasks = p.masks
     if kind.family == "dc":
-        if g.n > COLLECTION_ENUM_CAP:
-            raise CapExceededError(
-                f"{g.n} players exceed the collection enumeration cap of {COLLECTION_ENUM_CAP}"
-            )
+        _check_cap(g.n, COLLECTION_ENUM_CAP, "collection enumeration")
         framed_by_union: dict[int, Value] = {}
         for cmasks in _iter_collection_masks(g.n):
             welfare: Value = 0
@@ -443,10 +435,7 @@ def check_definitional(
                 rival = Collection(tuple(Coalition(m) for m in cmasks))
                 return Verdict(False, DefectingCollection(rival, framed, welfare))
         return STABLE
-    if g.n > PARTITION_ENUM_CAP:
-        raise CapExceededError(
-            f"{g.n} players exceed the partition enumeration cap of {PARTITION_ENUM_CAP}"
-        )
+    _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
     if kind.family == "dpk":
         _validate_bound(g, p, kind.k)
     swp = _welfare(v, pmasks)
@@ -474,39 +463,29 @@ def _frame_fixes(cmasks: "tuple[int, ...]", union: int, pmasks: "tuple[int, ...]
 # Game-class predicates and shortcut corollaries
 
 
+def _singleton_sums(weights: "list[Value]") -> "list[Value]":
+    """The table of an additive game: each mask's sum of ``weights``, one
+    weight per player."""
+    sums: list[Value] = [0] * (1 << len(weights))
+    for s in range(1, len(sums)):
+        low = s & -s
+        sums[s] = sums[s ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def is_additive(g: Game) -> bool:
     """True iff every coalition is worth the sum of its members' singleton
     values — equivalently, value adds up across every disjoint pair.
     Exactly these games have every partition dc-stable."""
     v = g.dense_table()
-    sums: list[Value] = [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        low = s & -s
-        sums[s] = sums[s ^ low] + v[low]
-        if sums[s] != v[s]:
-            return False
-    return True
+    return _singleton_sums([v[1 << i] for i in range(g.n)]) == v
 
 
 def is_superadditive(g: Game, strict: bool = False) -> bool:
     """True iff every disjoint pair satisfies v(A) + v(B) <= v(A∪B)
-    (``strict=True``: <).  Costs a 3**n disjoint-pair scan."""
-    v = g.dense_table()
-    for u in range(3, 1 << g.n):
-        if u.bit_count() < 2:
-            continue
-        low = u & -u
-        rest = u ^ low
-        vu = v[u]
-        t = (rest - 1) & rest
-        while True:
-            separate = v[low | t] + v[u ^ (low | t)]
-            if separate > vu or (strict and separate == vu):
-                return False
-            if t == 0:
-                break
-            t = (t - 1) & rest
-    return True
+    (``strict=True``: <): the grand coalition passes the dc pair scan.
+    Costs a 3**n disjoint-pair scan."""
+    return _dc_scan(g, Partition.grand(g.n), strict).stable
 
 
 @dataclass(frozen=True)
@@ -530,23 +509,15 @@ class CorollaryReport:
 
 def corollary_shortcuts(g: Game) -> CorollaryReport:
     v = g.dense_table()
-    sums: list[Value] = [0] * (1 << g.n)
-    singles_ok = True
-    singles_strict = True
-    for s in range(1, 1 << g.n):
-        low = s & -s
-        sums[s] = sums[s ^ low] + v[low]
-        if s != low:
-            if sums[s] < v[s]:
-                singles_ok = False
-                singles_strict = False
-            elif sums[s] == v[s]:
-                singles_strict = False
+    sums = _singleton_sums([v[1 << i] for i in range(g.n)])
+    # How far the singleton sums clear every coalition of two or more.
+    slack = min((sums[s] - v[s] for s in range(3, 1 << g.n) if s & (s - 1)), default=1)
+    grand_unique = is_superadditive(g, strict=True)
     return CorollaryReport(
-        grand_stable=is_superadditive(g),
-        grand_unique=is_superadditive(g, strict=True),
-        singletons_stable=singles_ok,
-        singletons_unique=singles_ok and singles_strict,
+        grand_stable=grand_unique or is_superadditive(g),
+        grand_unique=grand_unique,
+        singletons_stable=slack >= 0,
+        singletons_unique=slack > 0,
     )
 
 

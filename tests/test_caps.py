@@ -1,0 +1,106 @@
+"""Every capped entry point refuses inputs one past its cap with a
+CapExceededError whose message names the cap, and the CLI maps it to
+exit 3; the entry points that stay cheap at the cap itself run there.
+Oversized games are rule-backed where the cap is checked before the
+table is built."""
+
+import json
+
+import pytest
+
+from coalstab import (
+    CLOSURE_CAP,
+    COLLECTION_ENUM_CAP,
+    MAXIMIZER_CAP,
+    PARTITION_ENUM_CAP,
+    SOLVER_CAP,
+    BOUNDED_SOLVER_CAP,
+    CapExceededError,
+    Game,
+    Partition,
+    all_maximizers,
+    applicable_rules,
+    check_definitional,
+    check_dhp,
+    check_dp_k_strict,
+    closure_outcomes,
+    enumerate_collections,
+    enumerate_homogeneous_partitions,
+    enumerate_partitions,
+    optimal_partition,
+    optimal_partition_bounded,
+)
+from coalstab.cli import main
+
+
+def zero_game(n: int) -> Game:
+    return Game.from_rule(n, lambda m: 0)
+
+
+@pytest.mark.parametrize(
+    "call,cap",
+    [
+        (lambda: next(enumerate_partitions(13)), PARTITION_ENUM_CAP),
+        (lambda: next(enumerate_collections(11)), COLLECTION_ENUM_CAP),
+        (
+            lambda: next(enumerate_homogeneous_partitions(Partition.singletons(13))),
+            PARTITION_ENUM_CAP,
+        ),
+        (
+            lambda: check_definitional(zero_game(13), Partition.singletons(13), "dp"),
+            PARTITION_ENUM_CAP,
+        ),
+        (
+            lambda: check_definitional(zero_game(11), Partition.singletons(11), "dc"),
+            COLLECTION_ENUM_CAP,
+        ),
+        (lambda: check_dp_k_strict(zero_game(13), Partition.grand(13), 1), PARTITION_ENUM_CAP),
+        (lambda: check_dhp(zero_game(13), Partition.grand(13)), PARTITION_ENUM_CAP),
+        (lambda: optimal_partition(zero_game(19)), SOLVER_CAP),
+        (lambda: optimal_partition_bounded(zero_game(17), 2), BOUNDED_SOLVER_CAP),
+        (lambda: all_maximizers(zero_game(11)), MAXIMIZER_CAP),
+        (
+            lambda: applicable_rules(zero_game(13), Partition.grand(13), ["split"]),
+            PARTITION_ENUM_CAP,
+        ),
+        (lambda: closure_outcomes(zero_game(9), Partition.singletons(9)), CLOSURE_CAP),
+    ],
+    ids=[
+        "enumerate_partitions", "enumerate_collections", "enumerate_homogeneous",
+        "definitional_dp", "definitional_dc", "dp_k_strict", "dhp_split",
+        "optimal_partition", "optimal_partition_bounded", "all_maximizers",
+        "applicable_rules_split", "closure_outcomes",
+    ],
+)
+def test_entry_point_refuses_past_its_cap(call, cap):
+    with pytest.raises(CapExceededError, match=f"cap of {cap}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: next(enumerate_partitions(PARTITION_ENUM_CAP)),
+        lambda: next(enumerate_collections(COLLECTION_ENUM_CAP)),
+        lambda: next(enumerate_homogeneous_partitions(Partition.singletons(PARTITION_ENUM_CAP))),
+        lambda: check_dp_k_strict(zero_game(PARTITION_ENUM_CAP), Partition.grand(PARTITION_ENUM_CAP), 1),
+        lambda: check_dhp(zero_game(PARTITION_ENUM_CAP), Partition.grand(PARTITION_ENUM_CAP)),
+        lambda: optimal_partition_bounded(zero_game(BOUNDED_SOLVER_CAP), 1),
+        lambda: closure_outcomes(zero_game(CLOSURE_CAP), Partition.singletons(CLOSURE_CAP)),
+    ],
+    ids=[
+        "enumerate_partitions", "enumerate_collections", "enumerate_homogeneous",
+        "dp_k_strict", "dhp_split", "optimal_partition_bounded", "closure_outcomes",
+    ],
+)
+def test_entry_point_runs_at_its_cap(call):
+    call()
+
+
+def test_cli_bounded_maximizers_cap_exits_3(capsys, tmp_path):
+    doc = tmp_path / "n13.game"
+    doc.write_text("representation: table\nn: 13\ndefault: 0\n")
+    code = main(["solve", "--game", str(doc), "--max-size", "2", "--all-maximizers"])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert err.endswith(f"cap of {PARTITION_ENUM_CAP}")

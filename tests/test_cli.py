@@ -192,6 +192,15 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "--game", str(doc))
         assert code == 0 and out["optimum"] == "2/3"
 
+    def test_optimum_past_the_digit_limit(self, capsys, tmp_path):
+        doc = tmp_path / "big.game"
+        nines = "9" * 4300
+        doc.write_text(
+            f"representation: table\nn: 2\ndefault: 0\nvalue {{1}}: {nines}\nvalue {{2}}: {nines}\n"
+        )
+        code, out, _ = run_cli(capsys, "solve", "--game", str(doc))
+        assert code == 0 and out["optimum"] == "1" + "9" * 4299 + "8"
+
     def test_bad_bound(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--game", EXA_A, "--max-size", "0")
         assert code == 2 and "k must be" in err["error"]

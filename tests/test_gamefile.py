@@ -205,6 +205,19 @@ class TestParseRule:
         with pytest.raises(ParseError, match=message):
             parse_game(doc)
 
+    def test_bad_param_value_reported_at_its_line(self):
+        doc = (
+            "representation: rule\nfamily: transportation\nparam cities: {1,2} {3}\n"
+            "param base: 6 4\nparam decay: 1/2 1/2\nparam penalty: PENALTY\n"
+        )
+        with pytest.raises(ParseError, match="^line 6: rational too large"):
+            parse_game(doc.replace("PENALTY", "1e5000"))
+        with pytest.raises(ParseError, match="^line 4: n must be an integer"):
+            parse_game("representation: rule\nfamily: random\n\nparam n: four\n")
+        # Errors that involve several parameters stay at the family line.
+        with pytest.raises(ParseError, match="^line 2: need exactly one base cost"):
+            parse_game(doc.replace("6 4", "6 4 2").replace("PENALTY", "2"))
+
     def test_build_family_direct(self):
         g = build_family("example", {"name": "exa-1"})
         assert g == example_game("exa-1")

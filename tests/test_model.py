@@ -1,6 +1,7 @@
 """Unit tests for the core model: values, coalitions, collections,
 partitions, games, welfare, and exhaustive enumeration."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,15 @@ class TestValues:
     def test_literals_past_the_digit_limit_refused(self, text):
         with pytest.raises(ValueError, match=f"passes {MAX_VALUE_DIGITS} digits"):
             as_value(text)
+
+    def test_values_past_the_digit_limit_print(self):
+        nines = 10**MAX_VALUE_DIGITS - 1
+        limit = sys.get_int_max_str_digits()
+        assert format_value(2 * nines) == "1" + "9" * (MAX_VALUE_DIGITS - 1) + "8"
+        assert format_value(-2 * nines) == "-1" + "9" * (MAX_VALUE_DIGITS - 1) + "8"
+        assert format_value(Fraction(2 * nines, 7)) == "1" + "9" * (MAX_VALUE_DIGITS - 1) + "8/7"
+        assert format_value(Fraction(1, 7 * 10**MAX_VALUE_DIGITS)) == "1/7" + "0" * MAX_VALUE_DIGITS
+        assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------------------

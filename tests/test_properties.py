@@ -23,6 +23,7 @@ from coalstab import (
     check_strict_dhp,
     check_strict_dp,
     closure_outcomes,
+    corollary_shortcuts,
     enumerate_homogeneous_partitions,
     enumerate_partitions,
     format_value,
@@ -30,6 +31,7 @@ from coalstab import (
     is_additive,
     is_closed,
     is_homogeneous,
+    is_superadditive,
     iterate,
     modified_social_welfare,
     optimal_partition,
@@ -238,6 +240,21 @@ def test_additivity_agrees_with_definition(g):
     if definitional:
         for p in enumerate_partitions(g.n):
             assert check_dc(g, p).stable
+
+
+@settings(max_examples=80)
+@given(games(max_n=4, value_strategy=st.integers(-2, 2)))
+def test_superadditivity_and_corollaries_agree_with_definitions(g):
+    v = g.dense_table()
+    pairs = [(a, b) for a in range(1, 1 << g.n) for b in range(1, 1 << g.n) if not a & b]
+    assert is_superadditive(g) == all(v[a] + v[b] <= v[a | b] for a, b in pairs)
+    assert is_superadditive(g, strict=True) == all(v[a] + v[b] < v[a | b] for a, b in pairs)
+    rep = corollary_shortcuts(g)
+    grand, singles = Partition.grand(g.n), Partition.singletons(g.n)
+    assert rep.grand_stable == check_dc(g, grand).stable
+    assert rep.grand_unique == check_dc_strict(g, grand).stable
+    assert rep.singletons_stable == check_dc(g, singles).stable
+    assert rep.singletons_unique == check_dc_strict(g, singles).stable
 
 
 # ---------------------------------------------------------------------------
