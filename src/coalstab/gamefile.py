@@ -122,22 +122,25 @@ def build_family(family: str, raw_params: "Mapping[str, str]") -> Game:
     return game
 
 
-def _parse_entry_mask(literal: str, n: int, lineno: int) -> int:
-    inner = literal.strip()
-    if inner.startswith("{") and inner.endswith("}"):
-        inner = inner[1:-1]
-    tokens = inner.replace(",", " ").split()
+def _parse_entry_mask(literal: str, bits: "Mapping[str, int]", lineno: int) -> int:
+    """The mask of a stripped coalition literal; ``bits`` maps each player
+    number written ``"1"``..``"n"`` to its bit."""
+    if literal.startswith("{") and literal.endswith("}"):
+        literal = literal[1:-1]
     mask = 0
-    for tok in tokens:
-        try:
-            player = int(tok)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad player number {tok!r}") from exc
-        if not 1 <= player <= n:
-            raise ParseError(
-                f"line {lineno}: player index out of range: {player} in a {n}-player game"
-            )
-        mask |= 1 << (player - 1)
+    for tok in literal.replace(",", " ").split():
+        bit = bits.get(tok)
+        if bit is None:
+            try:
+                player = int(tok)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad player number {tok!r}") from exc
+            if not 1 <= player <= len(bits):
+                raise ParseError(
+                    f"line {lineno}: player index out of range: {player} in a {len(bits)}-player game"
+                )
+            bit = 1 << (player - 1)
+        mask |= bit
     return mask
 
 
@@ -152,21 +155,24 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     family_line = 0
     raw_params: "dict[str, str]" = {}
     param_lines: "dict[str, int]" = {}
-    partition_entries: "list[tuple[int, str, str]]" = []
+    partition_entries: "dict[str, tuple[int, str]]" = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        head, colon, tail = line.partition(":")
+        if not colon:
             raise ParseError(f"line {lineno}: expected 'key: value', got {line!r}")
-        head, _, tail = line.partition(":")
-        head = head.strip()
         tail = tail.strip()
         words = head.split(None, 1)
         key = words[0] if words else ""
         arg = words[1].strip() if len(words) > 1 else None
-        if key == "representation" and arg is None:
+        if key == "value":
+            if arg is None:
+                raise ParseError(f"line {lineno}: value lines look like 'value {{1,2}}: 5'")
+            value_entries.append((lineno, arg, tail))
+        elif key == "representation" and arg is None:
             if representation is not None:
                 raise ParseError(f"line {lineno}: duplicate representation line")
             if tail not in ("table", "rule"):
@@ -184,10 +190,6 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             if default_entry is not None:
                 raise ParseError(f"line {lineno}: duplicate default line")
             default_entry = (lineno, tail)
-        elif key == "value":
-            if arg is None:
-                raise ParseError(f"line {lineno}: value lines look like 'value {{1,2}}: 5'")
-            value_entries.append((lineno, arg, tail))
         elif key == "family" and arg is None:
             if family is not None:
                 raise ParseError(f"line {lineno}: duplicate family line")
@@ -207,11 +209,11 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
         elif key == "partition":
             if arg is None:
                 raise ParseError(f"line {lineno}: partition lines look like 'partition main: {{1,2}} {{3}}'")
-            if any(name == arg for _, name, _ in partition_entries):
+            if arg in partition_entries:
                 raise ParseError(f"line {lineno}: duplicate partition name {arg!r}")
-            partition_entries.append((lineno, arg, tail))
+            partition_entries[arg] = (lineno, tail)
         else:
-            raise ParseError(f"line {lineno}: unknown key {head!r}")
+            raise ParseError(f"line {lineno}: unknown key {head.strip()!r}")
 
     if representation is None:
         raise ParseError("missing 'representation: table' or 'representation: rule' line")
@@ -232,27 +234,27 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
                 default = as_value(draw)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"line {dl}: {exc}") from exc
-        seen: "dict[int, Value]" = {}
+        bits = {str(i + 1): 1 << i for i in range(n)}
+        dense: "list[Value]" = [0] + [default] * ((1 << n) - 1)
+        seen = bytearray(1 << n)
         for lineno, literal, rawval in value_entries:
-            mask = _parse_entry_mask(literal, n, lineno)
+            mask = _parse_entry_mask(literal, bits, lineno)
             try:
                 val = as_value(rawval)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-            if mask in seen:
+            if seen[mask]:
                 raise ParseError(f"line {lineno}: duplicate coalition entry {literal.strip()}")
-            if mask == 0:
-                if val != 0:
-                    raise ParseError(f"line {lineno}: the empty set must have value 0")
-                continue
-            seen[mask] = val
-        if default_entry is None:
-            for m in range(1, 1 << n):
-                if m not in seen:
-                    raise ParseError(
-                        f"missing value for coalition {Coalition(m)} and no default given"
-                    )
-        game = Game.from_table(n, seen, default=default)
+            seen[mask] = 1
+            if mask == 0 and val != 0:
+                raise ParseError(f"line {lineno}: the empty set must have value 0")
+            dense[mask] = val
+        missing = seen.find(0, 1)
+        if default_entry is None and missing > 0:
+            raise ParseError(
+                f"missing value for coalition {Coalition(missing)} and no default given"
+            )
+        game = Game(n, table=dense)
     else:
         if value_entries or default_entry is not None:
             bad = value_entries[0][0] if value_entries else default_entry[0]  # type: ignore[index]
@@ -273,7 +275,7 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             )
 
     named: "dict[str, Partition]" = {}
-    for lineno, name, literal in partition_entries:
+    for name, (lineno, literal) in partition_entries.items():
         try:
             part = Partition.parse(literal)
         except (TypeError, ValueError) as exc:
@@ -315,18 +317,33 @@ def serialize_game(g: Game, named: "Mapping[str, Partition] | None" = None) -> s
         lines.append("representation: table")
         lines.append(f"n: {g.n}")
         lines.append("default: 0")
-        v = g.dense_table()
-        for m in range(1, 1 << g.n):
-            if v[m] != 0:
-                lines.append(f"value {Coalition(m)}: {format_value(v[m])}")
+        # A literal is the members of its low half then of its high half.
+        half = g.n // 2
+        low, high = _member_lists(1, half), _member_lists(half + 1, g.n - half)
+        low_mask = (1 << half) - 1
+        lines += [
+            f"value {{{(low[m & low_mask] + high[m >> half])[:-1]}}}: {format_value(x)}"
+            for m, x in enumerate(g.dense_table())
+            if x and m
+        ]
     for name, part in (named or {}).items():
+        if name != name.strip() or name.splitlines() != [name] or ":" in name or "#" in name:
+            raise ValueError(f"partition name {name!r} would not read back as itself")
         lines.append(f"partition {name}: {part}")
     return "\n".join(lines) + "\n"
 
 
+def _member_lists(first: int, count: int) -> "list[str]":
+    """``"p,q,"`` for each subset of players first..first+count-1, by mask."""
+    out = [""]
+    for player in range(first, first + count):
+        out += [s + f"{player}," for s in out]
+    return out
+
+
 def load_game(path: "str | Path") -> "tuple[Game, dict[str, Partition]]":
     """Read and parse a game document from disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         return parse_game(text)
     except ParseError as exc:

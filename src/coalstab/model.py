@@ -46,19 +46,26 @@ def as_value(x: object) -> Value:
         raise TypeError("booleans are not game values")
     if isinstance(x, int):
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, Decimal):
-        return as_value(Fraction(x))
     if isinstance(x, str):
         text = x.strip()
         if len(text) > MAX_VALUE_DIGITS or "e" in text or "E" in text:
             _check_digits(text)
+        else:
+            # int() accepts a subset of Fraction()'s literals (signs, leading
+            # zeros, "_" between digits, Unicode digits), with the same value.
+            try:
+                return int(text)
+            except ValueError:
+                pass
         try:
             f = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational: {x!r}") from exc
         return f.numerator if f.denominator == 1 else f
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Decimal):
+        return as_value(Fraction(x))
     if isinstance(x, float):
         raise TypeError(
             f"refusing float {x!r}: values must be exact; pass an int, Fraction, or string"
@@ -200,6 +207,10 @@ class Coalition:
 
 
 _BLOCK_RE = re.compile(r"\{([^{}]*)\}")
+# Blocks separated by whitespace or commas, inside at most one pair of braces.
+# The leading \s* sits inside the optional group so that no run of
+# whitespace can be split two ways: matching stays linear in the text.
+_COLLECTION_RE = re.compile(r"(?:\s*(\{))?[\s,]*(?:\{[^{}]*\}[\s,]*)*(?(1)\}\s*)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +247,20 @@ class Collection:
 
     @classmethod
     def parse(cls, text: str):
-        """Parse a literal like ``{1,2} {3}`` or ``{{1,2},{3}}``."""
+        """Parse a literal like ``{1,2} {3}`` or ``{{1,2},{3}}``.
+
+        Only whitespace, commas and one enclosing pair of braces may sit
+        outside the coalition literals.
+        """
         groups = _BLOCK_RE.findall(text)
         if not groups:
             if text.strip():
                 raise ValueError(f"no coalition literals found in {text!r}")
             return cls(())
-        return cls(tuple(Coalition.parse("{" + g + "}") for g in groups))
+        collection = cls(tuple(Coalition.parse("{" + g + "}") for g in groups))
+        if not _COLLECTION_RE.fullmatch(text):
+            raise ValueError(f"text outside the coalition literals in {text!r}")
+        return collection
 
     @property
     def union_mask(self) -> int:

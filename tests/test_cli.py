@@ -109,6 +109,13 @@ class TestCheck:
         )
         assert code == 2 and "player-count mismatch" in err["error"]
 
+    def test_text_outside_partition_literal(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "--game", EXA_A, "--partition", "{1,2}{3}x", "--notion", "dc"
+        )
+        assert code == 2 and out is None
+        assert err == {"error": "text outside the coalition literals in '{1,2}{3}x'"}
+
     def test_bad_notion(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--game", EXA_A, "--partition", "grand", "--notion", "zz"

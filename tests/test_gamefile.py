@@ -1,6 +1,7 @@
 """Unit tests for the plain-text game document format: parsing, precise
 error reporting, serialization round-trips, and the bundled documents."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from coalstab import (
     Partition,
     build_family,
     example_game,
+    format_value,
     generalized_odd_game,
     load_game,
     parse_game,
@@ -300,3 +302,208 @@ class TestBundledDocuments:
         _, named = load_game(GAMES_DIR / "exa-miss.game")
         assert named["stable"] == Partition.parse("{1,2} {3,4}")
         assert named["trap"] == Partition.parse("{1,3} {2,4}")
+
+
+# ---------------------------------------------------------------------------
+# Exact table-document errors: the message, the line, and which error wins
+# when a document has several faults.
+
+H = "representation: table\nn: 2\ndefault: 0\n"
+TABLE_ERRORS = [
+    ('n: 2\n',
+     "missing 'representation: table' or 'representation: rule' line"),
+    ('representation: table\nn: 2\nrepresentation: table\n',
+     'line 3: duplicate representation line'),
+    ('representation: csv\nn: 2\n',
+     "line 1: representation must be 'table' or 'rule'"),
+    ('representation: table\nn: 2\nn: 3\n',
+     'line 3: duplicate n line'),
+    ('representation: table\nn: two\n',
+     "line 2: n must be an integer, got 'two'"),
+    (H + 'default: 1\n',
+     'line 4: duplicate default line'),
+    ('representation: table\nn: 2\nvalue: 3\n',
+     "line 3: value lines look like 'value {1,2}: 5'"),
+    ('representation: table\nn: 2\nvalue {1}\n',
+     "line 3: expected 'key: value', got 'value {1}'"),
+    ('representation: table\nn: 2\n: 3\n',
+     "line 3: unknown key ''"),
+    ('representation: table\nn: 2\ncolor {1} : red\n',
+     "line 3: unknown key 'color {1}'"),
+    ('representation: table\ndefault: 0\n',
+     "table documents need an 'n:' line"),
+    ('representation: table\nn: 0\n',
+     'line 2: n must be between 1 and 20'),
+    ('representation: table\nn: 21\n',
+     'line 2: n must be between 1 and 20'),
+    ('representation: table\nn: 2\nfamily: example\n',
+     'line 3: table documents do not take family/param lines'),
+    ('representation: table\nn: 2\nfamily: sudoku\n',
+     "line 3: unknown family 'sudoku'; valid: example, generalized_odd, partition_power, transportation, random"),
+    ('representation: table\nn: 2\nparam n: 3\n',
+     'line 1: table documents do not take family/param lines'),
+    ('representation: table\nn: 2\nparam: 3\n',
+     "line 3: param lines look like 'param n: 3'"),
+    ('representation: table\nn: 2\npartition: {1,2}\n',
+     "line 3: partition lines look like 'partition main: {1,2} {3}'"),
+    (H + 'value {x}: 1\n',
+     "line 4: bad player number 'x'"),
+    (H + 'value {1,,x}: 1\n',
+     "line 4: bad player number 'x'"),
+    (H + 'value {3}: 1\n',
+     'line 4: player index out of range: 3 in a 2-player game'),
+    (H + 'value {0}: 1\n',
+     'line 4: player index out of range: 0 in a 2-player game'),
+    (H + 'value {-1}: 1\n',
+     'line 4: player index out of range: -1 in a 2-player game'),
+    (H + 'value {1,2: 1\n',
+     "line 4: bad player number '{1'"),
+    (H + 'value 1 2 3: 1\n',
+     'line 4: player index out of range: 3 in a 2-player game'),
+    (H + 'value {1}: 1.1.1\n',
+     "line 4: malformed rational: '1.1.1'"),
+    (H + 'value {1}: 1/0\n',
+     "line 4: malformed rational: '1/0'"),
+    (H + 'value {1}: 0.5 # half\nvalue {1}: 2\n',
+     'line 5: duplicate coalition entry {1}'),
+    (H + 'value {1}: 1\nvalue { 1 }: 2\n',
+     'line 5: duplicate coalition entry { 1 }'),
+    (H + 'value {1,2}: 1\nvalue {2,1}: 2\n',
+     'line 5: duplicate coalition entry {2,1}'),
+    (H + 'value {}: 1\n',
+     'line 4: the empty set must have value 0'),
+    (H + 'value {}: -1/2\n',
+     'line 4: the empty set must have value 0'),
+    (H + 'value {1}: 1e5000\n',
+     'line 4: rational too large: its numerator or denominator passes 4300 digits'),
+    ('representation: table\nn: 2\ndefault: x\n',
+     "line 3: malformed rational: 'x'"),
+    ('representation: table\nn: 2\ndefault: 1e-9999999\n',
+     'line 3: rational too large: its numerator or denominator passes 4300 digits'),
+    ('representation: table\nn: 2\nvalue {1}: 1\nvalue {1,2}: 1\n',
+     'missing value for coalition {2} and no default given'),
+    ('representation: table\nn: 3\nvalue {1}: 1\n',
+     'missing value for coalition {2} and no default given'),
+    ('representation: table\nn: 2\nvalue {2}: 1\nvalue {1,2}: 1\n',
+     'missing value for coalition {1} and no default given'),
+    (H + 'partition a: {1}\n',
+     "line 4: partition 'a' does not cover players 1..2"),
+    (H + 'partition a: {1} {2}\npartition a: {1,2}\n',
+     "line 5: duplicate partition name 'a'"),
+    (H + 'partition a: {1,2} {2}\n',
+     'line 4: blocks must be pairwise disjoint'),
+    (H + 'partition a: {1} {3}\n',
+     'line 4: blocks must cover players 1..3 with no gaps; missing [2]'),
+    (H + 'partition a: oops\n',
+     "line 4: no coalition literals found in 'oops'"),
+    (H + 'partition a: {1,x}\n',
+     "line 4: bad player number in coalition literal '{1,x}'"),
+    (H + 'partition a: {}\n',
+     "line 4: empty coalition literal: '{}'"),
+    (H + 'nonsense\n',
+     "line 4: expected 'key: value', got 'nonsense'"),
+    (H + 'value {x}: 1\nvalue {1}: y\n',
+     "line 4: bad player number 'x'"),
+    (H + 'value {1}: y\nvalue {x}: 1\n',
+     "line 4: malformed rational: 'y'"),
+    (H + 'value {x}: y\n',
+     "line 4: bad player number 'x'"),
+    (H + 'value {1}: 1\nvalue {1}: y\n',
+     "line 5: malformed rational: 'y'"),
+    (H + 'value {9}: 1\nbogus: 2\n',
+     "line 5: unknown key 'bogus'"),
+    (H + 'value {1}: 1\nvalue {1}: 2\nvalue {2}: 1\nvalue {2}: 2\n',
+     'line 5: duplicate coalition entry {1}'),
+    ('representation: table\nn: 2\nvalue {1}: 1\nvalue {1}: 1\n',
+     'line 4: duplicate coalition entry {1}'),
+    ('representation: table\nn: 25\nvalue {x}: 1\n',
+     'line 2: n must be between 1 and 20'),
+    ('representation: table\nn: 2\ndefault: q\nvalue {x}: 1\n',
+     "line 3: malformed rational: 'q'"),
+    (H + 'value {1}: 1\npartition a: {1}\npartition b: {3}\n',
+     "line 5: partition 'a' does not cover players 1..2"),
+    (H + 'partition a: {1} {2}\npartition a: {1,2}\npartition a: x\n',
+     "line 5: duplicate partition name 'a'"),
+    ('representation: table\nrepresentation: rule\nn: 2\nn: 3\n',
+     'line 2: duplicate representation line'),
+    (H + 'value {1}: 1\nfamily: example\nvalue {x}: 1\n',
+     'line 5: table documents do not take family/param lines'),
+]
+
+
+@pytest.mark.parametrize("doc,message", TABLE_ERRORS)
+def test_table_document_error_messages(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_game(doc)
+    assert str(info.value) == message
+
+
+def _reference_table_document(g: Game, named=None) -> str:
+    """The table form rendered one Coalition at a time."""
+    v = g.dense_table()
+    lines = ["representation: table", f"n: {g.n}", "default: 0"]
+    lines += [f"value {Coalition(m)}: {format_value(v[m])}" for m in range(1, 1 << g.n) if v[m] != 0]
+    lines += [f"partition {name}: {p}" for name, p in (named or {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+class TestSerializeBytes:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_tables_match_reference(self, n):
+        rng = random.Random(f"serialize|{n}")
+        pool = [0, 0, 1, -1, 57, -4300, Fraction(1, 3), Fraction(-7, 2), Fraction(22, 7)]
+        table = [0] + [rng.choice(pool) for _ in range((1 << n) - 1)]
+        g = Game(n, table=table)
+        named = {"grand": Partition.grand(n), "two words": Partition.singletons(n)}
+        text = serialize_game(g, named)
+        assert text == _reference_table_document(g, named)
+        assert parse_game(text) == (g, named)
+
+    @pytest.mark.parametrize("path", sorted(GAMES_DIR.glob("*.game")), ids=lambda p: p.stem)
+    def test_bundled_documents_match_reference(self, path):
+        g, named = load_game(path)
+        table_only = Game(g.n, table=g.dense_table())
+        assert serialize_game(table_only, named) == _reference_table_document(table_only, named)
+
+    @pytest.mark.parametrize("name", ["", " a", "a ", "a:b", "a#b", "a\nb", "a\rb", "a\u2028b", "\t"])
+    def test_names_that_do_not_read_back_refused(self, name):
+        g = Game(2, table=[0, 1, 1, 3])
+        with pytest.raises(ValueError, match="would not read back as itself"):
+            serialize_game(g, {name: Partition.grand(2)})
+
+    @pytest.mark.parametrize("name", ["a", "two words", "x-1_y.z", "a\tb", "\u00e9t\u00e9"])
+    def test_names_that_read_back_kept(self, name):
+        g = Game(2, table=[0, 1, 1, 3])
+        back, named = parse_game(serialize_game(g, {name: Partition.grand(2)}))
+        assert back == g and named == {name: Partition.grand(2)}
+
+
+class TestParseFixes:
+    def test_repeated_empty_set_line_is_a_duplicate(self):
+        with pytest.raises(ParseError) as info:
+            parse_game(H + "value {}: 0\nvalue {}: 0\n")
+        assert str(info.value) == "line 5: duplicate coalition entry {}"
+        g, _ = parse_game(H + "value {}: 0\nvalue {1}: 2\n")
+        assert g.dense_table() == [0, 2, 0, 0]
+
+    @pytest.mark.parametrize(
+        "literal", ["{1,2} oops", "{1} oops {2}", "{1}{2}x", "{1} {2", "}{1} {2}", "{1} {2}}"]
+    )
+    def test_text_outside_partition_literals(self, literal):
+        with pytest.raises(ParseError) as info:
+            parse_game(H + f"partition main: {literal}\n")
+        assert str(info.value) == f"line 4: text outside the coalition literals in {literal!r}"
+
+    @pytest.mark.parametrize("literal", ["{1} {2}", "{{1},{2}}", " { {1} , {2} } ", "{1},{2}"])
+    def test_separators_and_one_enclosing_pair_kept(self, literal):
+        _, named = parse_game(H + f"partition main: {literal}\n")
+        assert named == {"main": Partition.singletons(2)}
+
+    def test_load_reads_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.game"
+        path.write_bytes(b"\xef\xbb\xbf" + (GAMES_DIR / "exa-a.game").read_bytes())
+        assert load_game(path) == load_game(GAMES_DIR / "exa-a.game")
+        # A string keeps its byte-order mark, which is not a key.
+        with pytest.raises(ParseError) as info:
+            parse_game("\ufeff" + H)
+        assert str(info.value) == "line 1: unknown key '\\ufeffrepresentation'"

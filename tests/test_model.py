@@ -67,6 +67,31 @@ class TestValues:
         with pytest.raises(ValueError, match="malformed rational"):
             as_value(bad)
 
+    # The int fast path agrees with Fraction(): the same value, or the same
+    # exception type and message.
+    @pytest.mark.parametrize(
+        "text,expect",
+        [
+            ("+5", 5), ("-0", 0), ("007", 7), ("1_0", 10), ("\u0661\u0662", 12), ("5.", 5),
+            ("1e3", 1000), (" -12 ", -12), ("9" * 4300, 10**4300 - 1),
+            ("1__0", ValueError("malformed rational: '1__0'")),
+            ("_1", ValueError("malformed rational: '_1'")),
+            ("0x10", ValueError("malformed rational: '0x10'")),
+            ("9" * 4301, ValueError(
+                f"rational too large: its numerator or denominator passes {MAX_VALUE_DIGITS} digits"
+            )),
+        ],
+        ids=lambda x: x[:12] if isinstance(x, str) else None,
+    )
+    def test_literal_corpus(self, text, expect):
+        if isinstance(expect, Exception):
+            with pytest.raises(type(expect)) as info:
+                as_value(text)
+            assert str(info.value) == str(expect)
+        else:
+            got = as_value(text)
+            assert got == expect == Fraction(text) and type(got) is int
+
     def test_format_round_trips(self):
         for v in (0, -7, Fraction(3, 2), Fraction(-1, 3)):
             assert as_value(format_value(v)) == v
@@ -175,6 +200,12 @@ class TestCollection:
         assert Collection.parse("{1,2} {3}") == Collection.of([1, 2], [3])
         assert Collection.parse("{{1,2},{3}}") == Collection.of([1, 2], [3])
         assert Collection.parse("") == Collection.of()
+        assert Collection.parse(" { {1,2} , {3} } ") == Collection.of([1, 2], [3])
+
+    @pytest.mark.parametrize("text", ["{1,2} oops {3}", "{1,2}{3}x", "{1,2} {3", "{{1}", "{1}}", "{ {1} } {2}"])
+    def test_parse_rejects_text_outside_literals(self, text):
+        with pytest.raises(ValueError, match="text outside the coalition literals"):
+            Collection.parse(text)
 
     def test_subcollection(self):
         p = Partition.parse("{1,2} {3} {4}")

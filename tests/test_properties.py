@@ -4,6 +4,7 @@ serialization round-trips on randomized inputs."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -304,8 +305,39 @@ def test_closure_outcomes_are_fixpoints_reaching_maximum_nowhere_lower(g, data):
 
 @given(games(max_n=4))
 def test_serialize_round_trip(g):
-    back, named = parse_game(serialize_game(g))
+    text = serialize_game(g)
+    back, named = parse_game(text)
     assert back == g and named == {}
+    assert serialize_game(back) == text
+
+
+names = st.text(st.characters(blacklist_characters=":#"), min_size=1, max_size=8).filter(
+    lambda s: s == s.strip() and s.splitlines() == [s]
+)
+
+
+@given(games(max_n=6), st.dictionaries(names, st.just(None), max_size=3), st.data())
+def test_serialize_round_trip_with_names(g, names_drawn, data):
+    given_named = {name: data.draw(partitions_of(g.n)) for name in names_drawn}
+    text = serialize_game(g, given_named)
+    back, named = parse_game(text)
+    assert back == g and named == given_named
+    assert serialize_game(back, named) == text
+
+
+# Short literals without an exponent: as_value must agree with Fraction(),
+# value for value, and reject what it rejects as a malformed rational.
+@given(st.text("0123456789_+-./ \u0661", max_size=10))
+def test_as_value_agrees_with_fraction(text):
+    try:
+        f = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as info:
+            as_value(text)
+        assert str(info.value) == f"malformed rational: {text!r}"
+        return
+    got = as_value(text)
+    assert got == f and type(got) is (int if f.denominator == 1 else Fraction)
 
 
 @given(st.integers(1, 5), st.data())
