@@ -220,9 +220,8 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
 
     if representation == "table":
         if family is not None or raw_params:
-            raise ParseError(
-                f"line {family_line or 1}: table documents do not take family/param lines"
-            )
+            first = min(ln for ln in (family_line, *param_lines.values()) if ln)
+            raise ParseError(f"line {first}: table documents do not take family/param lines")
         if n is None:
             raise ParseError("table documents need an 'n:' line")
         if not 1 <= n <= MAX_PLAYERS:

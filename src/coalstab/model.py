@@ -363,7 +363,7 @@ class Game:
     __slots__ = (
         "n", "full_mask", "family", "params",
         "_table", "_rule", "_memo", "_lock",
-        "_opt", "_bounded", "_maximizers",
+        "_opt", "_bounded", "_maximizers", "_split",
     )
 
     def __init__(
@@ -389,6 +389,7 @@ class Game:
         self._opt = None
         self._bounded: dict[int, object] = {}
         self._maximizers = None
+        self._split: "list[Value] | None" = None
 
     @classmethod
     def from_table(

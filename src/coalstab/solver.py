@@ -16,6 +16,7 @@ from .model import Coalition, Game, Partition, Value, _bits_of, _check_cap
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
 MAXIMIZER_CAP = 10
+_NO_SPLIT = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -26,13 +27,16 @@ class OptResult:
     witness: Partition
 
 
-def _dp(w, below=None, below_count=None, counting=False, cells=None):
+def _dp(w, below=None, below_count=None, counting=False, cells=None, split=None):
     """One pass of the recurrence over the 2**b values ``w``.
 
-    ``best[s]`` is the largest ``w[t] + rest[s ^ t]`` over blocks ``t`` of
-    ``s`` holding its least element, where ``rest`` is ``below`` (one block
-    fewer) or, unbounded, ``best`` itself.  With ``counting``, ``count[s]``
-    is how many groupings reach ``best[s]``.  ``cells`` limits the masks.
+    ``best[s]`` is the larger of ``w[s]`` and the best split of ``s``: the
+    largest ``w[t] + rest[s ^ t]`` over proper blocks ``t`` of ``s``
+    holding its least element, where ``rest`` is ``below`` (one block
+    fewer) or, unbounded, ``best`` itself.  On a tie ``w[s]`` wins, and
+    among splits the first block reached.  With ``counting``, ``count[s]``
+    is how many groupings reach ``best[s]``.  ``cells`` limits the masks;
+    a ``split`` list receives each best split (``-inf`` for one player).
     """
     size = len(w)
     best: "list[Value]" = [0] * size
@@ -43,28 +47,32 @@ def _dp(w, below=None, below_count=None, counting=False, cells=None):
         low = s & -s
         rest = s ^ low
         b = w[s]
+        sp = _NO_SPLIT
         t = rest
         if count is None:
             while t:
                 t = (t - 1) & rest
                 tm = low | t
                 cand = w[tm] + rest_best[s ^ tm]
-                if cand > b:
-                    b = cand
+                if cand > sp:
+                    sp = cand
         else:
-            c = 1
+            c = 0
             while t:
                 t = (t - 1) & rest
                 tm = low | t
                 r = s ^ tm
                 cand = w[tm] + rest_best[r]
-                if cand > b:
-                    b = cand
+                if cand > sp:
+                    sp = cand
                     c = rest_count[r]
-                elif cand == b:
+                elif cand == sp:
                     c += rest_count[r]
-            count[s] = c
-        best[s] = b
+            if b <= sp:
+                count[s] = c + 1 if b == sp else c
+        best[s] = b if b >= sp else sp
+        if split is not None:
+            split[s] = sp
     return best, count
 
 
@@ -143,14 +151,19 @@ def optimal_partition(g: Game) -> OptResult:
     """Maximum social welfare over all partitions, with a witness.
 
     Deterministic: ties at every table cell break toward the candidate
-    block with the smallest bit pattern.  The result is cached on the game.
+    block with the smallest bit pattern.  The result is cached on the game,
+    and so is the DP's split table, which the stability scans read.
     """
     cached = g._opt
     if cached is not None:
         return cached
-    _check_cap(g.n, SOLVER_CAP, "solver")
-    optimum, blocks = _best_grouping(g.dense_table(), g.full_mask)
-    result = OptResult(optimum, _partition(blocks))
+    n = g.n
+    _check_cap(n, SOLVER_CAP, "solver")
+    v = g.dense_table()
+    split: "list[Value]" = [0] * len(v)
+    best, _ = _dp(v, split=split)
+    g._split = split
+    result = OptResult(best[-1], _partition(next(_tie_walk(v, [best] * (n + 1), None, n, g.full_mask))))
     g._opt = result
     return result
 
@@ -208,7 +221,9 @@ def all_maximizers(g: Game) -> "list[Partition]":
         n = g.n
         _check_cap(n, MAXIMIZER_CAP, "maximizer enumeration")
         v = g.dense_table()
-        best, count = _dp(v, counting=True)
+        split: "list[Value]" = [0] * len(v)
+        best, count = _dp(v, counting=True, split=split)
+        g._split = split
         walk = _tie_walk(v, [best] * (n + 1), [count] * (n + 1), n, g.full_mask)
         g._maximizers = tuple(_in_rgs_order(walk, n))
     return list(g._maximizers)

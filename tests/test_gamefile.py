@@ -341,7 +341,7 @@ TABLE_ERRORS = [
     ('representation: table\nn: 2\nfamily: sudoku\n',
      "line 3: unknown family 'sudoku'; valid: example, generalized_odd, partition_power, transportation, random"),
     ('representation: table\nn: 2\nparam n: 3\n',
-     'line 1: table documents do not take family/param lines'),
+     'line 3: table documents do not take family/param lines'),
     ('representation: table\nn: 2\nparam: 3\n',
      "line 3: param lines look like 'param n: 3'"),
     ('representation: table\nn: 2\npartition: {1,2}\n',
@@ -427,6 +427,7 @@ TABLE_ERRORS = [
     ('representation: table\nrepresentation: rule\nn: 2\nn: 3\n',
      'line 2: duplicate representation line'),
     (H + 'value {1}: 1\nfamily: example\nvalue {x}: 1\n',
+     'line 5: table documents do not take family/param lines'),    (H + 'value {1}: 1\nparam n: 3\nfamily: example\n',
      'line 5: table documents do not take family/param lines'),
 ]
 

@@ -17,8 +17,14 @@ from coalstab import (
     GeneratorSpec,
     Partition,
     all_maximizers,
+    check_dc,
+    check_dc_strict,
+    check_dhp,
+    check_strict_dhp,
+    corollary_shortcuts,
     enumerate_partitions,
     example_game,
+    find_dc_stable,
     optimal_partition,
     optimal_partition_bounded,
     random_game,
@@ -155,14 +161,37 @@ class TestAllMaximizers:
             all_maximizers(g)
 
 
+def _rule(m):
+    return Fraction(m * 2654435761 % 7, 1 + m % 3)
+
+
+def _race(work, workers):
+    """Run ``work(i)`` for each worker index at once, switching threads as
+    often as the interpreter allows."""
+    barrier = threading.Barrier(workers)
+
+    def start(i):
+        barrier.wait(timeout=30)
+        work(i)
+
+    threads = [threading.Thread(target=start, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 class TestSharedGameThreads:
     def test_cached_entry_points_agree_across_threads(self):
         # The caches are written without a lock; racing writers must still
         # leave every thread with the answers a fresh game gives.
         n, workers = 8, 8
-
-        def rule(m):
-            return Fraction(m * 2654435761 % 7, 1 + m % 3)
 
         def answers(g):
             return (
@@ -173,24 +202,40 @@ class TestSharedGameThreads:
                 all_maximizers(g),
             )
 
-        expect = answers(Game.from_rule(n, rule))
-        shared = Game.from_rule(n, rule)
+        expect = answers(Game.from_rule(n, _rule))
+        shared = Game.from_rule(n, _rule)
         results = [None] * workers
-        barrier = threading.Barrier(workers)
 
         def work(i):
-            barrier.wait(timeout=30)
             results[i] = answers(shared)
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _race(work, workers)
         assert results == [expect] * workers
+
+    def test_checks_agree_while_the_split_table_appears(self):
+        # The dc and dhp scans read the solvers' split table once it is on
+        # the game; solver threads put it there while the checks run.
+        n, checkers, solvers, rounds = 8, 8, 2, 3
+        parts = (Partition.grand(n), Partition.singletons(n), Partition.parse("{1,2,3} {4,5,6,7,8}"))
+
+        def checks(g):
+            return (
+                [f(g, q) for q in parts for f in (check_dc, check_dc_strict, check_dhp, check_strict_dhp)],
+                corollary_shortcuts(g),
+                find_dc_stable(g),
+            )
+
+        expect = checks(Game.from_rule(n, _rule))
+        shared = Game.from_rule(n, _rule)
+        results = [None] * checkers
+
+        def work(i):
+            if i < checkers:
+                results[i] = [checks(shared) for _ in range(rounds)]
+            else:
+                optimal_partition(shared)
+                all_maximizers(shared)
+
+        _race(work, checkers + solvers)
+        assert shared._split is not None
+        assert results == [[expect] * rounds] * checkers

@@ -1,0 +1,211 @@
+"""The solver's split table on the Game.
+
+``optimal_partition`` and ``all_maximizers`` leave on the game, for every
+mask of two or more players, the best value of a grouping into two or
+more parts.  The dc pair scan and the dhp split scan read it when it is
+there; these tests hold them to the verdicts and witnesses of the scans
+without it, and to the definitional oracles."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coalstab import (
+    PARTITION_ENUM_CAP,
+    CapExceededError,
+    Coalition,
+    Game,
+    Partition,
+    all_maximizers,
+    as_value,
+    check_dc,
+    check_dc_strict,
+    check_definitional,
+    check_dhp,
+    check_strict_dhp,
+    corollary_shortcuts,
+    enumerate_partitions,
+    find_dc_stable,
+    is_superadditive,
+    optimal_partition,
+)
+from conftest import witness_violates
+
+CHECKS = (
+    (check_dc, "dc", False),
+    (check_dc_strict, "dc", True),
+    (check_dhp, "dhp", False),
+    (check_strict_dhp, "dhp", True),
+)
+
+
+def cover(v):
+    """The superadditive cover: each mask's best grouping, by plain
+    recursion over the blocks holding its least player."""
+    out = list(v)
+    for s in range(1, len(v)):
+        low = s & -s
+        t = s ^ low
+        while t:
+            t = (t - 1) & (s ^ low)
+            out[s] = max(out[s], out[low | t] + out[s ^ low ^ t])
+    return out
+
+
+values = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.fractions(min_value=-2, max_value=3, max_denominator=3),
+)
+
+
+@st.composite
+def tables(draw, max_n=8):
+    """A table of n = 1..max_n players: raw small values (many ties), their
+    superadditive cover (splits that tie their union), or the cover plus
+    |S|² (strictly superadditive)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    v = [0] + [as_value(x) for x in draw(st.lists(values, min_size=(1 << n) - 1, max_size=(1 << n) - 1))]
+    shape = draw(st.sampled_from(("raw", "cover", "strict")))
+    if shape != "raw":
+        v = cover(v)
+    if shape == "strict":
+        v = [x + bin(m).count("1") ** 2 if m else 0 for m, x in enumerate(v)]
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: "dict[int, int]" = {}
+    for player, lab in enumerate(labels):
+        blocks[lab] = blocks.get(lab, 0) | 1 << player
+    return n, v, Partition(tuple(Coalition(m) for m in blocks.values()))
+
+
+def answers(g, p):
+    """Every check that reads the split table; ``find_dc_stable`` last,
+    since its ``all_maximizers`` call leaves the table on the game."""
+    grand = Partition.grand(g.n)
+    return (
+        [f(g, q) for q in (p, grand) for f, _, _ in CHECKS],
+        is_superadditive(g),
+        is_superadditive(g, strict=True),
+        corollary_shortcuts(g),
+        find_dc_stable(g),
+    )
+
+
+@settings(max_examples=100)
+@given(tables())
+def test_checks_give_the_same_answers_with_and_without_the_table(case):
+    n, v, p = case
+    fresh = Game(n, table=list(v))
+    expect = answers(fresh, p)
+    for solve in (optimal_partition, all_maximizers):
+        g = Game(n, table=list(v))
+        solve(g)
+        assert g._split is not None
+        assert answers(g, p) == expect
+
+
+@settings(max_examples=80)
+@given(tables(max_n=7))
+def test_checks_with_the_table_agree_with_the_oracles(case):
+    n, v, p = case
+    for solve in (None, optimal_partition, all_maximizers):
+        g = Game(n, table=list(v))
+        if solve is not None:
+            solve(g)
+        for f, family, strict in CHECKS:
+            got = f(g, p)
+            assert got.stable == check_definitional(g, p, family, strict=strict).stable
+            if not got.stable:
+                assert witness_violates(g, p, got.witness, strict=strict)
+        grand = Partition.grand(n)
+        for strict in (False, True):
+            assert is_superadditive(g, strict) == check_definitional(g, grand, "dc", strict).stable
+
+
+def best_split(v, s):
+    """The best grouping of ``s`` into two or more parts, by enumeration."""
+    return max(
+        sum(v[b.mask] for b in q.blocks)
+        for q in enumerate_partitions(Coalition(s))
+        if len(q.blocks) > 1
+    )
+
+
+@settings(max_examples=60)
+@given(tables(max_n=6))
+def test_the_table_holds_each_masks_best_split(case):
+    n, v, _ = case
+    splits = []
+    for solve in (optimal_partition, all_maximizers):
+        g = Game(n, table=list(v))
+        solve(g)
+        splits.append(g._split)
+        for s in range(1, 1 << n):
+            if s & (s - 1):
+                assert g._split[s] == best_split(v, s)
+    assert splits[0] == splits[1]
+    if n > 1:
+        assert optimal_partition(g).optimum == max(v[-1], splits[0][-1])
+
+
+def test_scans_on_a_fresh_game_build_no_table():
+    n = 7
+    rng = random.Random(5)
+    g = Game(n, table=[0] + [Fraction(rng.randint(-3, 9), rng.randint(1, 2)) for _ in range((1 << n) - 1)])
+    for q in (Partition.grand(n), Partition.singletons(n), Partition.parse("{1,2,3} {4,5} {6,7}")):
+        for f, _, _ in CHECKS:
+            f(g, q)
+    is_superadditive(g)
+    is_superadditive(g, strict=True)
+    corollary_shortcuts(g)
+    assert g._split is None
+    assert g._opt is None
+
+
+@pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
+def test_split_scan_cap_holds_with_a_table(check):
+    n = PARTITION_ENUM_CAP + 1
+    g = Game.from_rule(n, lambda m: 0)
+    optimal_partition(g)
+    assert g._split is not None
+    with pytest.raises(CapExceededError, match=f"cap of {PARTITION_ENUM_CAP}$"):
+        check(g, Partition.grand(n))
+
+
+class ProbeTable(list):
+    """A value table that runs ``probe`` once, from inside whatever reads
+    it, at its ``at``-th read."""
+
+    def __init__(self, values, at, probe):
+        super().__init__(values)
+        self.reads, self.at, self.probe, self.seen = 0, at, probe, None
+
+    def __getitem__(self, i):
+        self.reads += 1
+        if self.reads == self.at:
+            self.seen = self.probe()
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("solve", [optimal_partition, all_maximizers])
+@pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
+def test_checks_run_inside_the_dp_see_no_partial_table(solve, share):
+    # A scan that starts while the DP is filling the table must not see the
+    # table until it is complete: it gives a fresh game's answers.
+    n = 8
+    rng = random.Random(11)
+    v = [0] + [rng.randint(1, 9) for _ in range((1 << n) - 1)]
+    parts = (Partition.grand(n), Partition.parse("{1,2,3,4} {5,6,7,8}"))
+
+    def probe(g):
+        return [f(g, q) for q in parts for f, _, _ in CHECKS] + [is_superadditive(g, s) for s in (False, True)]
+
+    expect = probe(Game(n, table=list(v)))
+    assert not all(expect)
+    dp_reads = (3**n - 1) // 2  # one per mask and one per proper block
+    table = ProbeTable(v, int(share * dp_reads), lambda: probe(g))
+    g = Game(n, table=table)
+    solve(g)
+    assert table.seen == expect
