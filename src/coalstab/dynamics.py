@@ -30,6 +30,7 @@ from .model import (
     _check_partition,
     _iter_partition_masks,
     format_value,
+    social_welfare,
 )
 from .stability import _gaining_merges
 
@@ -141,7 +142,9 @@ def _coerce_rules(rules: "Iterable[RuleName | str]") -> frozenset:
     return frozenset(out)
 
 
-def _iter_applications(g: Game, p: Partition, rules: frozenset) -> Iterator[RuleApplication]:
+def _iter_applications(
+    g: Game, pmasks: "tuple[int, ...]", rules: frozenset
+) -> Iterator[RuleApplication]:
     """All strictly-gaining applications, deterministic order.
 
     Merges scan index subsets ascending by bit pattern; splits scan blocks
@@ -150,7 +153,6 @@ def _iter_applications(g: Game, p: Partition, rules: frozenset) -> Iterator[Rule
     exchanges scan unordered block pairs with both swapped subsets ascending.
     """
     v = g.dense_table()
-    pmasks = p.masks
     k = len(pmasks)
     bvals = [v[m] for m in pmasks]
     if RuleName.MERGE in rules:
@@ -228,20 +230,19 @@ def applicable_rules(
 ) -> "list[RuleApplication]":
     """All applications of the given rules that strictly gain welfare."""
     _check_partition(g, p)
-    return list(_iter_applications(g, p, _coerce_rules(rules)))
+    return list(_iter_applications(g, p.masks, _coerce_rules(rules)))
 
 
 def is_closed(g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT_RULES) -> bool:
     """True iff no rule in the set strictly gains welfare at ``p``."""
     _check_partition(g, p)
-    return next(_iter_applications(g, p, _coerce_rules(rules)), None) is None
+    return next(_iter_applications(g, p.masks, _coerce_rules(rules)), None) is None
 
 
-def step(p: Partition, a: RuleApplication) -> Partition:
-    """Apply one rewrite to ``p``; payload indices and coalitions are
-    validated structurally, gains are the caller's concern."""
-    blocks = list(p.blocks)
-    count = len(blocks)
+def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
+    """The block masks after one rewrite, sorted by least member: the
+    structural checks and the result of :func:`step`, on masks."""
+    count = len(pmasks)
     if isinstance(a, Merge):
         idxs = a.indices
         if (
@@ -250,43 +251,48 @@ def step(p: Partition, a: RuleApplication) -> Partition:
             or not all(0 <= i < count for i in idxs)
         ):
             raise ValueError("merge needs two or more distinct ascending block indices in range")
-        chosen = set(idxs)
         union = 0
         for i in idxs:
-            union |= blocks[i].mask
-        rest = [b for i, b in enumerate(blocks) if i not in chosen]
-        return Partition(tuple(rest) + (Coalition(union),))
-    if isinstance(a, Split):
+            union |= pmasks[i]
+        blocks = [m for i, m in enumerate(pmasks) if i not in idxs] + [union]
+    elif isinstance(a, Split):
         if not 0 <= a.index < count:
             raise ValueError("split index out of range")
-        target = blocks[a.index]
-        if len(a.parts) < 2 or a.parts.union_mask != target.mask:
+        if len(a.parts) < 2 or a.parts.union_mask != pmasks[a.index]:
             raise ValueError("split parts must cut the block into two or more pieces")
-        rest = [b for i, b in enumerate(blocks) if i != a.index]
-        return Partition(tuple(rest) + tuple(a.parts.blocks))
-    if isinstance(a, Transfer):
+        blocks = [m for i, m in enumerate(pmasks) if i != a.index] + list(a.parts.masks)
+    elif isinstance(a, Transfer):
         i, j = a.source, a.target
         if not (0 <= i < count and 0 <= j < count) or i == j:
             raise ValueError("transfer needs two distinct block indices in range")
-        src, tgt = blocks[i].mask, blocks[j].mask
-        m = a.moved.mask
+        src, m = pmasks[i], a.moved.mask
         if m & ~src or m == src:
             raise ValueError("transfer payload must be a proper nonempty subset of the source block")
-        blocks[i] = Coalition(src ^ m)
-        blocks[j] = Coalition(tgt | m)
-        return Partition(tuple(blocks))
-    if isinstance(a, Exchange):
+        blocks = list(pmasks)
+        blocks[i] = src ^ m
+        blocks[j] |= m
+    elif isinstance(a, Exchange):
         i, j = a.first, a.second
         if not (0 <= i < count and 0 <= j < count) or i == j:
             raise ValueError("exchange needs two distinct block indices in range")
-        bi, bj = blocks[i].mask, blocks[j].mask
+        bi, bj = pmasks[i], pmasks[j]
         u1, u2 = a.from_first.mask, a.from_second.mask
         if u1 & ~bi or u1 == bi or u2 & ~bj or u2 == bj:
             raise ValueError("exchange payloads must be proper nonempty subsets of their blocks")
-        blocks[i] = Coalition((bi ^ u1) | u2)
-        blocks[j] = Coalition((bj ^ u2) | u1)
-        return Partition(tuple(blocks))
-    raise TypeError(f"not a rule application: {a!r}")
+        blocks = list(pmasks)
+        blocks[i] = (bi ^ u1) | u2
+        blocks[j] = (bj ^ u2) | u1
+    else:
+        raise TypeError(f"not a rule application: {a!r}")
+    blocks.sort(key=lambda m: m & -m)
+    return tuple(blocks)
+
+
+def step(p: Partition, a: RuleApplication) -> Partition:
+    """Apply one rewrite to ``p``; payload indices and coalitions are
+    validated structurally (``ValueError``; ``TypeError`` for anything
+    that is not a rule application), gains are the caller's concern."""
+    return Partition(tuple(map(Coalition, _apply(p.masks, a))))
 
 
 @dataclass(frozen=True)
@@ -325,19 +331,16 @@ def iterate(
     if not isinstance(strategy, Strategy):
         raise TypeError("expected a Strategy")
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
-    v = g.dense_table()
     current = p0
-    welfare: Value = 0
-    for m in p0.masks:
-        welfare += v[m]
+    welfare = social_welfare(g, p0)
     steps: list[TraceStep] = []
     while True:
         if strategy.kind == "first":
-            app = next(_iter_applications(g, current, rules), None)
+            app = next(_iter_applications(g, current.masks, rules), None)
             if app is None:
                 break
         else:
-            apps = list(_iter_applications(g, current, rules))
+            apps = list(_iter_applications(g, current.masks, rules))
             if not apps:
                 break
             if strategy.kind == "best":
@@ -355,44 +358,30 @@ def closure_outcomes(
 ) -> "set[Partition]":
     """Every fixpoint reachable from ``p0`` by any order of applications.
 
-    Explores the full reachability graph (a DAG, since welfare strictly
-    increases along every edge) with memoization, so it is exponential in
-    the number of reachable partitions — hence the dedicated cap.
+    A depth-first search over block-mask tuples visits each reachable
+    partition once and scans its applications once; a partition with no
+    gaining application is a fixpoint.  Memory is the set of visited mask
+    tuples, and only the returned fixpoints become Partitions.  The number
+    of reachable partitions can reach Bell(n), hence the dedicated cap.
     """
     rules = _coerce_rules(rules)
     _check_partition(g, p0)
     _check_cap(g.n, CLOSURE_CAP, "closure")
-
-    def successors(p: Partition) -> "list[Partition]":
-        seen = set()
-        out = []
-        for a in _iter_applications(g, p, rules):
-            q = step(p, a)
+    seen = {p0.masks}
+    stack = [p0.masks]
+    fixpoints = set()
+    while stack:
+        node = stack.pop()
+        fixed = True
+        for a in _iter_applications(g, node, rules):
+            fixed = False
+            q = _apply(node, a)
             if q not in seen:
                 seen.add(q)
-                out.append(q)
-        return out
-
-    succ_cache: "dict[Partition, list[Partition]]" = {}
-    outcome: "dict[Partition, frozenset[Partition]]" = {}
-    stack: "list[tuple[Partition, bool]]" = [(p0, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            succ = succ_cache[node]
-            if succ:
-                outcome[node] = frozenset().union(*(outcome[q] for q in succ))
-            else:
-                outcome[node] = frozenset((node,))
-            continue
-        if node in outcome:
-            continue
-        succ = succ_cache.setdefault(node, successors(node))
-        stack.append((node, True))
-        for q in succ:
-            if q not in outcome:
-                stack.append((q, False))
-    return set(outcome[p0])
+                stack.append(q)
+        if fixed:
+            fixpoints.add(Partition(tuple(map(Coalition, node))))
+    return fixpoints
 
 
 def format_application(a: RuleApplication, source: Partition) -> str:

@@ -449,6 +449,8 @@ class Game:
         except KeyError:
             pass
         with self._lock:  # type: ignore[union-attr]
+            if self._table is not None:  # built while we waited
+                return self._table[mask]
             got = memo.get(mask)  # type: ignore[union-attr]
             if got is None:
                 got = as_value(self._rule(mask))  # type: ignore[misc]
@@ -465,11 +467,19 @@ class Game:
     def dense_table(self) -> "list[Value]":
         """The full value list indexed by mask (index 0 is the empty set).
 
-        Computed once and cached for rule-backed games.  Treat as read-only.
+        Rule-backed games build it once, in one pass under the lock that
+        reuses the memoized values, and then empty the memo, so each mask
+        is evaluated once and stored once.  Treat as read-only.
         """
         if self._table is None:
-            mv = self.mask_value
-            self._table = [0] + [mv(m) for m in range(1, 1 << self.n)]
+            with self._lock:  # type: ignore[union-attr]
+                if self._table is None:
+                    memo, rule = self._memo, self._rule
+                    self._table = [0] + [
+                        memo[m] if m in memo else as_value(rule(m))  # type: ignore[index, operator, misc]
+                        for m in range(1, 1 << self.n)
+                    ]
+                    memo.clear()  # type: ignore[union-attr]
         return self._table
 
     def __eq__(self, other: object) -> bool:

@@ -110,18 +110,25 @@ def _tie_walk(w, best, count, j: int, s: int):
     return walk(s, j)
 
 
-def _best_grouping(v: "list[Value]", mask: int) -> "tuple[Value, tuple[int, ...]]":
+def _best_grouping(
+    v: "list[Value]", mask: int, split: "list[Value] | None" = None
+) -> "tuple[Value, tuple[int, ...]]":
     """The best value of a grouping of ``mask``'s players, and its blocks.
 
-    The DP indexes ``mask``'s own submasks: O(3**|mask|) time and
-    O(2**|mask|) memory.  Unbounded, a set of j players has the same table
-    under every budget from j up, so one table serves the whole stack.
+    The tables index ``mask``'s own submasks: O(2**|mask|) memory.  With
+    the game's split table each submask's best grouping is read off it;
+    without, a DP finds them in O(3**|mask|) time.  Unbounded, a set of j
+    players has the same table under every budget from j up, so one table
+    serves the whole walk.
     """
     expand = [0]
     for bit in _bits_of(mask):
         expand += [m | bit for m in expand]
     w = [v[m] for m in expand]
-    best, _ = _dp(w)
+    if split is None:
+        best, _ = _dp(w)
+    else:
+        best = [max(v[m], split[m]) for m in expand]
     top = len(w) - 1
     b = top.bit_length()
     return best[top], tuple(expand[t] for t in next(_tie_walk(w, [best] * (b + 1), None, b, top)))

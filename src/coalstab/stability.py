@@ -343,9 +343,10 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
     split = g._split
     pmasks = p.masks
     # Splits: no way of cutting one block into two or more parts may gain
-    # (strict: tie).  A cached split table answers for each block; the
-    # block's own DP then finds the witness, the best grouping, which
-    # leaves the block whole only when no split ties or beats it.
+    # (strict: tie).  A cached split table answers for each block and,
+    # for a gaining block, gives the witness, the best grouping, without
+    # a DP; that grouping leaves the block whole only when no split ties
+    # or beats it.
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
         if size < 2:
@@ -354,7 +355,7 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
         whole = v[pm]
         if split is not None and not _splits_gain(split[pm], whole, strict):
             continue
-        best, parts = _best_grouping(v, pm)
+        best, parts = _best_grouping(v, pm, split)
         if whole < best or (strict and len(parts) > 1):
             return Verdict(False, BlockSplit(i, Collection(tuple(map(Coalition, parts))), whole, best))
     # Merges: no union of two or more whole blocks may gain (strict: tie).

@@ -1,6 +1,8 @@
 """Unit tests for the reorganization dynamics: rule scans, strategies,
 traces, closure outcomes, and their agreement with the stability checkers."""
 
+import hashlib
+
 import pytest
 
 from coalstab import (
@@ -14,6 +16,7 @@ from coalstab import (
     Collection,
     Exchange,
     Game,
+    GameClass,
     GeneratorSpec,
     Merge,
     Partition,
@@ -132,20 +135,34 @@ class TestStep:
 
     def test_structural_validation(self):
         p = Partition.parse("{1,2} {3,4}")
-        with pytest.raises(ValueError):
+        merge = "^merge needs two or more distinct ascending block indices in range$"
+        with pytest.raises(ValueError, match=merge):
             step(p, Merge((0,), 1))  # merging one block is no merge
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=merge):
             step(p, Merge((0, 5), 1))  # no such block
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=merge):
+            step(p, Merge((1, 0), 1))  # descending
+        with pytest.raises(ValueError, match="^split index out of range$"):
+            step(p, Split(2, Collection.of([1], [2]), 1))
+        split = "^split parts must cut the block into two or more pieces$"
+        with pytest.raises(ValueError, match=split):
             step(p, Split(0, Collection.of([1, 2]), 1))  # not a real split
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=split):
             step(p, Split(0, Collection.of([1], [3]), 1))  # wrong players
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^transfer needs two distinct block indices in range$"):
             step(p, Transfer(0, 0, Coalition.of(1), 1))  # same block
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^transfer payload must be a proper nonempty subset of the source block$"
+        ):
             step(p, Transfer(0, 1, Coalition.of(1, 2), 1))  # moves whole block
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^exchange needs two distinct block indices in range$"):
+            step(p, Exchange(1, 1, Coalition.of(3), Coalition.of(4), 1))
+        with pytest.raises(
+            ValueError, match="^exchange payloads must be proper nonempty subsets of their blocks$"
+        ):
             step(p, Exchange(0, 1, Coalition.of(1, 2), Coalition.of(3), 1))
+        with pytest.raises(TypeError, match=r"^not a rule application: \(0, 1\)$"):
+            step(p, (0, 1))
 
 
 class TestIsClosed:
@@ -251,6 +268,49 @@ class TestClosureOutcomes:
                 if check_dc(g, p).stable:
                     assert is_closed(g, p)
                     assert closure_outcomes(g, p) == {p}
+
+    def test_outcomes_pinned_over_random_games(self):
+        # Fixpoints as strings, one line per case: every random_game class,
+        # n = 1..7, seeds 0..2, both rule sets, from both ends.
+        h = hashlib.sha256()
+        for n in range(1, 8):
+            for kind in GameClass:
+                for seed in range(3):
+                    g = random_game(GeneratorSpec(n=n, kind=kind, seed=seed))
+                    for rules in (DEFAULT_RULES, ALL_RULES):
+                        for p0 in (Partition.singletons(n), Partition.grand(n)):
+                            got = sorted(closure_outcomes(g, p0, rules), key=lambda q: q.masks)
+                            line = f"{n} {kind.value} {seed} {len(rules)} {p0}: {' | '.join(map(str, got))}\n"
+                            h.update(line.encode())
+        assert h.hexdigest() == "0308fca8182a16c869e4cfece73508e8c1d7ce0c26bfa809326819eb28a56d31"
+
+    def test_each_reachable_partition_is_scanned_once(self, monkeypatch):
+        import coalstab.dynamics as dynamics
+
+        scanned = []
+        scan = dynamics._iter_applications
+
+        def counting(g, pmasks, rules):
+            scanned.append(pmasks)
+            return scan(g, pmasks, rules)
+
+        monkeypatch.setattr(dynamics, "_iter_applications", counting)
+        for kind in GameClass:
+            for seed in range(2):
+                g = random_game(GeneratorSpec(n=5, kind=kind, seed=seed))
+                for rules in (DEFAULT_RULES, ALL_RULES):
+                    p0 = Partition.singletons(5)
+                    reached, todo = {p0}, [p0]
+                    while todo:
+                        p = todo.pop()
+                        for a in applicable_rules(g, p, rules):
+                            q = step(p, a)
+                            if q not in reached:
+                                reached.add(q)
+                                todo.append(q)
+                    scanned.clear()
+                    closure_outcomes(g, p0, rules)
+                    assert sorted(scanned) == sorted(q.masks for q in reached)
 
     def test_cap(self):
         g = Game.from_rule(CLOSURE_CAP + 1, lambda m: 0)

@@ -2,6 +2,7 @@
 partitions, games, welfare, and exhaustive enumeration."""
 
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,50 @@ class TestGame:
         assert g.mask_value(5) == 5
         assert g.mask_value(5) == 5
         assert calls.count(5) == 1
+
+    def test_dense_table_evaluates_each_mask_once(self):
+        calls = []
+
+        def rule(mask):
+            calls.append(mask)
+            return mask * 2
+
+        g = Game.from_rule(5, rule)
+        assert [g.mask_value(m) for m in (7, 1, 31)] == [14, 2, 62]
+        assert g.dense_table() == [2 * m for m in range(32)]
+        assert sorted(calls) == list(range(1, 32))
+        assert g._memo == {}
+        assert g.mask_value(7) == 14 and g.dense_table() is g.dense_table()
+        assert len(calls) == 31
+
+    def test_dense_table_shared_across_threads(self):
+        n, workers = 9, 8
+        calls = []
+
+        def rule(mask):
+            calls.append(mask)
+            return Fraction(mask % 7, 1 + mask % 3)
+
+        expect = [0] + [Fraction(m % 7, 1 + m % 3) for m in range(1, 1 << n)]
+        g = Game.from_rule(n, rule)
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def work(i):
+            barrier.wait()
+            mine = [g.mask_value(m) for m in range(i, 1 << n, workers)]
+            results[i] = (mine, list(g.dense_table()), [g.mask_value(m) for m in range(1 << n)])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for i, (mine, table, values) in enumerate(results):
+            assert mine == expect[i::workers]
+            assert table == expect and values == expect
+        assert sorted(calls) == list(range(1, 1 << n))
+        assert g._memo == {}
 
     def test_rule_values_coerced(self):
         g = Game.from_rule(2, lambda m: "1/2")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from coalstab import (
     PARTITION_ENUM_CAP,
+    BlockSplit,
     CapExceededError,
     Coalition,
     Game,
@@ -209,3 +210,24 @@ def test_checks_run_inside_the_dp_see_no_partial_table(solve, share):
     g = Game(n, table=table)
     solve(g)
     assert table.seen == expect
+
+
+@pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
+def test_dhp_witness_on_a_warmed_game_runs_no_dp(check, monkeypatch):
+    # With the split table on the game, a gaining block's witness is read
+    # off the table: no DP over the block's submasks.
+    import coalstab.solver as solver
+
+    rng = random.Random(3)
+    n = 7
+    v = [0] + [rng.randint(0, 9) for _ in range((1 << n) - 1)]
+    p = Partition.parse("{1,2,3,4,5} {6,7}")
+    expect = check(Game(n, table=list(v)), p)
+    assert isinstance(expect.witness, BlockSplit)
+    g = Game(n, table=list(v))
+    optimal_partition(g)
+    calls = []
+    dp = solver._dp
+    monkeypatch.setattr(solver, "_dp", lambda *a, **k: calls.append(1) or dp(*a, **k))
+    assert check(g, p) == expect
+    assert calls == []
