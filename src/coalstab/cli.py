@@ -141,9 +141,9 @@ def _resolve_strategy(text: str):
         return FIRST_APPLICABLE
     if token == "best":
         return BEST_GAIN
-    if token.startswith("random"):
-        _, sep, num = token.partition(":")
-        if sep and num:
+    head, _, num = token.partition(":")
+    if head == "random":
+        if num:
             try:
                 return random_strategy(int(num))
             except ValueError as exc:

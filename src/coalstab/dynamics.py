@@ -25,10 +25,10 @@ from .model import (
     Game,
     Partition,
     Value,
-    _bits_of,
     _check_cap,
     _check_partition,
-    _iter_partition_masks,
+    _partitions,
+    _submasks,
     format_value,
     social_welfare,
 )
@@ -160,21 +160,25 @@ def _iter_applications(
             yield Merge(indices, merged - separate)
     if RuleName.SPLIT in rules:
         for i, pm in enumerate(pmasks):
-            bits = _bits_of(pm)
-            if len(bits) < 2:
+            size = pm.bit_count()
+            if size < 2:
                 continue
-            _check_cap(len(bits), PARTITION_ENUM_CAP, "split-scan", pm)
+            _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
+            # Cuts are enumerated over the block's own positions and read a
+            # block-local table; only a gaining cut is mapped to players.
+            sub = _submasks(pm)
+            w = [v[m] for m in sub]
             whole = bvals[i]
-            for parts in _iter_partition_masks(bits):
+            for parts in _partitions(size):
                 if len(parts) < 2:
                     continue
                 total: Value = 0
                 for m in parts:
-                    total += v[m]
+                    total += w[m]
                 gain = total - whole
                 if gain > 0:
                     yield Split(
-                        i, Collection(tuple(Coalition(m) for m in parts)), gain
+                        i, Collection(tuple(Coalition(sub[m]) for m in parts)), gain
                     )
     if RuleName.TRANSFER in rules:
         for i in range(k):
@@ -239,9 +243,8 @@ def is_closed(g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT
     return next(_iter_applications(g, p.masks, _coerce_rules(rules)), None) is None
 
 
-def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
-    """The block masks after one rewrite, sorted by least member: the
-    structural checks and the result of :func:`step`, on masks."""
+def _check(pmasks: "tuple[int, ...]", a: RuleApplication) -> None:
+    """The structural checks of :func:`step`, on block masks."""
     count = len(pmasks)
     if isinstance(a, Merge):
         idxs = a.indices
@@ -251,16 +254,11 @@ def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
             or not all(0 <= i < count for i in idxs)
         ):
             raise ValueError("merge needs two or more distinct ascending block indices in range")
-        union = 0
-        for i in idxs:
-            union |= pmasks[i]
-        blocks = [m for i, m in enumerate(pmasks) if i not in idxs] + [union]
     elif isinstance(a, Split):
         if not 0 <= a.index < count:
             raise ValueError("split index out of range")
         if len(a.parts) < 2 or a.parts.union_mask != pmasks[a.index]:
             raise ValueError("split parts must cut the block into two or more pieces")
-        blocks = [m for i, m in enumerate(pmasks) if i != a.index] + list(a.parts.masks)
     elif isinstance(a, Transfer):
         i, j = a.source, a.target
         if not (0 <= i < count and 0 <= j < count) or i == j:
@@ -268,9 +266,6 @@ def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
         src, m = pmasks[i], a.moved.mask
         if m & ~src or m == src:
             raise ValueError("transfer payload must be a proper nonempty subset of the source block")
-        blocks = list(pmasks)
-        blocks[i] = src ^ m
-        blocks[j] |= m
     elif isinstance(a, Exchange):
         i, j = a.first, a.second
         if not (0 <= i < count and 0 <= j < count) or i == j:
@@ -279,11 +274,31 @@ def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
         u1, u2 = a.from_first.mask, a.from_second.mask
         if u1 & ~bi or u1 == bi or u2 & ~bj or u2 == bj:
             raise ValueError("exchange payloads must be proper nonempty subsets of their blocks")
-        blocks = list(pmasks)
-        blocks[i] = (bi ^ u1) | u2
-        blocks[j] = (bj ^ u2) | u1
     else:
         raise TypeError(f"not a rule application: {a!r}")
+
+
+def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
+    """The block masks after one rewrite that passes :func:`_check`,
+    sorted by least member."""
+    blocks = list(pmasks)
+    if isinstance(a, Merge):
+        union = 0
+        for i in reversed(a.indices):
+            union |= blocks.pop(i)
+        blocks.append(union)
+    elif isinstance(a, Split):
+        blocks.pop(a.index)
+        blocks += a.parts.masks
+    elif isinstance(a, Transfer):
+        blocks[a.source] ^= a.moved.mask
+        blocks[a.target] |= a.moved.mask
+    else:
+        # The payloads are disjoint and each sits in its own block, so
+        # swapping them flips the same bits in both blocks.
+        swapped = a.from_first.mask | a.from_second.mask
+        blocks[a.first] ^= swapped
+        blocks[a.second] ^= swapped
     blocks.sort(key=lambda m: m & -m)
     return tuple(blocks)
 
@@ -292,6 +307,7 @@ def step(p: Partition, a: RuleApplication) -> Partition:
     """Apply one rewrite to ``p``; payload indices and coalitions are
     validated structurally (``ValueError``; ``TypeError`` for anything
     that is not a rule application), gains are the caller's concern."""
+    _check(p.masks, a)
     return Partition(tuple(map(Coalition, _apply(p.masks, a))))
 
 
@@ -360,9 +376,11 @@ def closure_outcomes(
 
     A depth-first search over block-mask tuples visits each reachable
     partition once and scans its applications once; a partition with no
-    gaining application is a fixpoint.  Memory is the set of visited mask
-    tuples, and only the returned fixpoints become Partitions.  The number
-    of reachable partitions can reach Bell(n), hence the dedicated cap.
+    gaining application is a fixpoint.  The generated applications are
+    valid by construction, so they are rewritten without :func:`step`'s
+    checks.  Memory is the set of visited mask tuples, and only the
+    returned fixpoints become Partitions.  The number of reachable
+    partitions can reach Bell(n), hence the dedicated cap.
     """
     rules = _coerce_rules(rules)
     _check_partition(g, p0)

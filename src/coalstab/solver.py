@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Coalition, Game, Partition, Value, _bits_of, _check_cap
+from .model import Coalition, Game, Partition, Value, _check_cap, _submasks
 
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
@@ -121,9 +121,7 @@ def _best_grouping(
     players has the same table under every budget from j up, so one table
     serves the whole walk.
     """
-    expand = [0]
-    for bit in _bits_of(mask):
-        expand += [m | bit for m in expand]
+    expand = _submasks(mask)
     w = [v[m] for m in expand]
     if split is None:
         best, _ = _dp(w)

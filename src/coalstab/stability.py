@@ -98,9 +98,9 @@ def kind_from_string(text: str) -> DefectionKind:
         return DP
     if token == "dhp":
         return DHP
-    if token.startswith("dpk"):
-        _, sep, num = token.partition(":")
-        if sep and num:
+    head, _, num = token.partition(":")
+    if head == "dpk":
+        if num:
             try:
                 return dp_k(int(num))
             except ValueError as exc:
@@ -370,23 +370,29 @@ def _gaining_merges(
     """Every union of two or more whole blocks worth more (strict: at
     least as much) than the blocks apart, as ``(indices, separate,
     merged)``, index subsets ascending by bit pattern.  The dhp merge scan
-    and the dynamics merge rule both run on it."""
+    and the dynamics merge rule both run on it.
+
+    Unions and sums are kept running, one per set bit of ``tmask``,
+    highest bit first: counting ``tmask`` up clears its trailing ones and
+    sets the bit above them, so those entries are popped and one is
+    pushed, O(1) amortized per subset.  Each sum adds the subset's own
+    values, so it is exact and has a fresh sum's type (int or Fraction)."""
     k = len(pmasks)
     block_vals = [v[pm] for pm in pmasks]
-    for tmask in range(3, 1 << k):
-        if tmask.bit_count() < 2:
-            continue
-        union = 0
-        separate: Value = 0
-        tt = tmask
-        while tt:
-            j = (tt & -tt).bit_length() - 1
-            union |= pmasks[j]
-            separate += block_vals[j]
-            tt &= tt - 1
-        merged = v[union]
-        if separate < merged or (strict and separate == merged):
-            yield tuple(j for j in range(k) if tmask >> j & 1), separate, merged
+    unions: "list[int]" = [0]
+    sums: "list[Value]" = [0]
+    for tmask in range(1, 1 << k):
+        j = (tmask & -tmask).bit_length() - 1
+        if j:
+            del unions[-j:], sums[-j:]
+        union = unions[-1] | pmasks[j]
+        separate = sums[-1] + block_vals[j]
+        unions.append(union)
+        sums.append(separate)
+        if tmask & (tmask - 1):
+            merged = v[union]
+            if separate < merged or (strict and separate == merged):
+                yield tuple(i for i in range(k) if tmask >> i & 1), separate, merged
 
 
 def check_dhp(g: Game, p: Partition) -> Verdict:
@@ -454,7 +460,7 @@ def check_definitional(
     if kind.family == "dhp":
         rivals = _iter_homogeneous_masks(pmasks)
     else:
-        rivals = _iter_partition_masks([1 << i for i in range(g.n)])
+        rivals = _iter_partition_masks(g.full_mask)
     for qmasks in rivals:
         if kind.family == "dpk" and len(qmasks) > kind.k:
             continue

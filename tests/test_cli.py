@@ -269,6 +269,14 @@ class TestIterate:
         )
         assert code == 2 and "needs a seed" in err["error"]
 
+    @pytest.mark.parametrize("text", ["random-ish:7", "randomly:7", "random7", "first:1"])
+    def test_malformed_strategies_are_refused(self, capsys, text):
+        code, out, err = run_cli(
+            capsys, "iterate", "--game", EXA_1, "--start", "singletons",
+            "--strategy", text,
+        )
+        assert code == 2 and out is None and "unknown strategy" in err["error"]
+
     def test_bad_rules(self, capsys):
         code, _, err = run_cli(
             capsys, "iterate", "--game", EXA_1, "--start", "singletons",

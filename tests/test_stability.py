@@ -68,6 +68,12 @@ class TestKinds:
         with pytest.raises(ValueError):
             kind_from_string("dpk:0")
 
+    @pytest.mark.parametrize("text", ["dpkzz:2", "dpk2", "dpk-:3", "dp:2", "dhpx"])
+    def test_malformed_notions_are_refused(self, text):
+        # only the exact word before the colon names a family
+        with pytest.raises(ValueError, match="unknown stability notion"):
+            kind_from_string(text)
+
     def test_bad_construction(self):
         with pytest.raises(ValueError):
             DefectionKind("dc", k=1)
@@ -204,6 +210,37 @@ class TestDhpOnExamples:
                     v = checker(g, p)
                     if not v.stable:
                         assert witness_violates(g, p, v.witness, strict=strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_merge_scan_matches_unions_built_from_scratch(self, strict):
+        # the scan keeps its unions and sums running; each yield must equal
+        # the subset's own union and exact sum, of the same type, in
+        # bit-pattern order (values mix ints and Fractions)
+        from fractions import Fraction
+        from random import Random
+
+        from coalstab.model import as_value
+        from coalstab.stability import _gaining_merges
+
+        rng = Random(3)
+        for _ in range(40):
+            n = rng.randrange(2, 9)
+            v = [0] + [
+                as_value(Fraction(rng.randrange(-3, 12), rng.choice((1, 2, 3))))
+                for _ in range(1, 1 << n)
+            ]
+            pmasks = rng.choice(list(enumerate_partitions(n))).masks
+            expect = []
+            for tmask in range(1 << len(pmasks)):
+                if tmask.bit_count() < 2:
+                    continue
+                idx = tuple(j for j in range(len(pmasks)) if tmask >> j & 1)
+                union = sum(pmasks[j] for j in idx)
+                separate = sum(v[pmasks[j]] for j in idx)
+                if separate < v[union] or (strict and separate == v[union]):
+                    expect.append((idx, separate, type(separate), v[union]))
+            got = [(i, s, type(s), m) for i, s, m in _gaining_merges(v, pmasks, strict)]
+            assert got == expect
 
 
 class TestOracleAgreement:
