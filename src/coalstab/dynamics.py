@@ -151,8 +151,11 @@ def _iter_applications(
     ascending and, per block, the ways of cutting it in restricted-growth
     order; transfers scan ordered block pairs and moved subsets ascending;
     exchanges scan unordered block pairs with both swapped subsets ascending.
+    On a game that holds the solver's split table, a block whose best
+    split does not beat it is skipped without listing its cuts.
     """
     v = g.dense_table()
+    split = g._split
     k = len(pmasks)
     bvals = [v[m] for m in pmasks]
     if RuleName.MERGE in rules:
@@ -164,6 +167,8 @@ def _iter_applications(
             if size < 2:
                 continue
             _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
+            if split is not None and split[pm] <= bvals[i]:
+                continue
             # Cuts are enumerated over the block's own positions and read a
             # block-local table; only a gaining cut is mapped to players.
             sub = _submasks(pm)

@@ -43,7 +43,7 @@ def _dp(w, below=None, below_count=None, counting=False, cells=None, split=None)
     count = [1] * size if counting else None
     rest_best = best if below is None else below
     rest_count = count if below_count is None else below_count
-    for s in cells or range(1, size):
+    for s in range(1, size) if cells is None else cells:
         low = s & -s
         rest = s ^ low
         b = w[s]
@@ -176,9 +176,11 @@ def optimal_partition(g: Game) -> OptResult:
 def optimal_partition_bounded(g: Game, k: int) -> OptResult:
     """Maximum welfare over partitions with at most ``k`` blocks.
 
-    Same recurrence as :func:`optimal_partition`, layered by block budget;
-    monotone in ``k`` and equal to the unbounded optimum at ``k = n``.
-    Results for every budget up to ``k`` are cached on the game.
+    Same recurrence as :func:`optimal_partition`, layered by block budget
+    and run only on the sets the top budget reads: about
+    (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  Monotone in ``k`` and equal to
+    the unbounded optimum at ``k = n``.  Results for every budget up to
+    ``k`` are cached on the game.
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError("block budget k must be an int")
@@ -196,16 +198,20 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
 def _bounded(g: Game, k: int, counting: bool = False):
     """The layered DP for an already validated budget ``k``.
 
-    Budget 1 is the value table itself, budgets 2 .. k-1 cover every mask
-    and budget k the full mask only: about (k-2)·3**n + 2**n steps.  Caches
-    the optimum of every budget up to ``k``; with ``counting``, returns how
-    many partitions reach the k-block optimum and a lazy walk over them.
+    Budget 1 is the value table itself and budget k covers the full mask
+    only.  Budgets 2 .. k-1 cover the full mask and the masks without
+    player 1: a budget-j grouping of the full mask leaves, after player
+    1's block, a set without player 1, and so does every read below it.
+    About (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  Caches the optimum of
+    every budget up to ``k``; with ``counting``, returns how many
+    partitions reach the k-block optimum and a lazy walk over them.
     """
     v = g.dense_table()
     full = g.full_mask
     best, count = [None, v], [None, [1] * (full + 1) if counting else None]
     for j in range(2, k + 1):
-        layer = _dp(v, best[-1], count[-1], counting, (full,) if j == k else None)
+        cells = [full] if j == k else [*range(2, full, 2), full]
+        layer = _dp(v, best[-1], count[-1], counting, cells)
         best.append(layer[0])
         count.append(layer[1])
     for j in range(1, k + 1):

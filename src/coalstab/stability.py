@@ -317,9 +317,10 @@ def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
 
 def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
     """Is ``p`` the unique welfare maximizer among partitions with at most
-    ``k`` blocks?  A counting layered DP, about (k-2)·3**n steps; on a tie
-    the rival is the first other maximizer in enumeration order, found by
-    a walk over the tied partitions, hence the partition enumeration cap."""
+    ``k`` blocks?  A counting layered DP, about (k-2)·3**(n-1)/2 +
+    k·2**(n-1) steps; on a tie the rival is the first other maximizer in
+    enumeration order, found by a walk over the tied partitions, hence the
+    partition enumeration cap."""
     _check_partition(g, p)
     _validate_bound(g, p, k)
     _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
@@ -346,12 +347,16 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
     # (strict: tie).  A cached split table answers for each block and,
     # for a gaining block, gives the witness, the best grouping, without
     # a DP; that grouping leaves the block whole only when no split ties
-    # or beats it.
+    # or beats it.  The grand block's own DP is the solver's, so there
+    # the solver runs it and keeps the table for later checks.
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
         if size < 2:
             continue
         _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
+        if split is None and pm == g.full_mask:
+            optimal_partition(g)
+            split = g._split
         whole = v[pm]
         if split is not None and not _splits_gain(split[pm], whole, strict):
             continue

@@ -2,6 +2,7 @@
 block-count-bounded variant, and maximizer enumeration — each checked
 against plain enumeration."""
 
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -30,6 +31,7 @@ from coalstab import (
     random_game,
     social_welfare,
 )
+from coalstab.solver import _bounded, _dp
 from conftest import brute_force_optimum
 
 
@@ -126,6 +128,72 @@ class TestBoundedSolver:
         g = Game.from_rule(BOUNDED_SOLVER_CAP + 1, lambda m: 0)
         with pytest.raises(CapExceededError):
             optimal_partition_bounded(g, 2)
+
+
+def _tie_table(n, kind, seed):
+    """A small-valued table of ``kind`` int, Fraction or mixed-sign, so
+    that bounded optima tie often."""
+    rng = random.Random(f"{kind}|{n}|{seed}")
+    if kind == "int":
+        draw = lambda: rng.randint(0, 2)
+    elif kind == "fraction":
+        draw = lambda: Fraction(rng.randint(0, 4), rng.randint(1, 2))
+    else:
+        draw = lambda: rng.choice((-2, -1, 0, 1, Fraction(1, 2), 2))
+    return [0] + [draw() for _ in range((1 << n) - 1)]
+
+
+class TestBoundedCells:
+    """The layered DP runs budgets below k on the full set and the sets
+    without player 1 only; every answer it gives must be the one plain
+    enumeration of partitions with at most k blocks gives."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_budget_matches_enumeration(self, n, kind):
+        for seed in range(2 if n > 5 else 4):
+            v = _tie_table(n, kind, seed)
+            groupings = [q.masks for q in enumerate_partitions(n)]
+            for k in range(1, n + 1):
+                g = Game(n, table=list(v))
+                count, walk = _bounded(g, k, counting=True)
+                for j in range(1, k + 1):
+                    fits = [q for q in groupings if len(q) <= j]
+                    best = max(sum(v[m] for m in q) for q in fits)
+                    # The tie walk takes smaller blocks first: in block-tuple order.
+                    tied = sorted(q for q in fits if sum(v[m] for m in q) == best)
+                    res = g._bounded[j]
+                    assert res.optimum == best
+                    assert res.witness.masks == tied[0]
+                    if j == k:
+                        assert count == len(tied)
+                        assert list(walk) == tied
+                fresh = Game(n, table=list(v))
+                assert optimal_partition_bounded(fresh, k) == g._bounded[k]
+
+    @pytest.mark.parametrize("counting", [False, True])
+    @pytest.mark.parametrize("n,k", [(2, 2), (5, 3), (7, 2), (7, 5), (7, 7)])
+    def test_each_budget_below_k_visits_half_the_sets(self, n, k, counting, monkeypatch):
+        import coalstab.solver as solver
+
+        full = (1 << n) - 1
+        layers = []
+
+        def spy(w, below=None, below_count=None, counting=False, cells=None, split=None):
+            cells = None if cells is None else list(cells)
+            layers.append(cells)
+            return _dp(w, below, below_count, counting, cells, split)
+
+        monkeypatch.setattr(solver, "_dp", spy)
+        _bounded(Game(n, table=_tie_table(n, "int", 0)), k, counting)
+        without_player_1 = sorted([*range(2, full, 2), full])
+        assert len(without_player_1) == 1 << (n - 1)
+        assert [sorted(c) for c in layers] == [without_player_1] * (k - 2) + [[full]]
+
+    def test_cells_bound_the_pass(self):
+        # An empty cell list visits no set; it is not "every set".
+        assert _dp([0, 5, 7, 9], cells=[])[0] == [0, 0, 0, 0]
+        assert _dp([0, 5, 7, 9])[0] == [0, 5, 7, 12]
 
 
 class TestAllMaximizers:

@@ -2,9 +2,10 @@
 
 ``optimal_partition`` and ``all_maximizers`` leave on the game, for every
 mask of two or more players, the best value of a grouping into two or
-more parts.  The dc pair scan and the dhp split scan read it when it is
-there; these tests hold them to the verdicts and witnesses of the scans
-without it, and to the definitional oracles."""
+more parts.  The dc pair scan, the dhp split scan and the dynamics split
+rule read it when it is there, and a dhp scan of the grand block leaves
+it; these tests hold them to the answers they give without it, and to the
+definitional oracles."""
 
 import random
 from fractions import Fraction
@@ -14,13 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coalstab import (
+    ALL_RULES,
+    BEST_GAIN,
+    DEFAULT_RULES,
     PARTITION_ENUM_CAP,
     BlockSplit,
     CapExceededError,
     Coalition,
     Game,
+    GameClass,
+    GeneratorSpec,
     Partition,
     all_maximizers,
+    applicable_rules,
     as_value,
     check_dc,
     check_dc_strict,
@@ -30,8 +37,11 @@ from coalstab import (
     corollary_shortcuts,
     enumerate_partitions,
     find_dc_stable,
+    is_closed,
     is_superadditive,
+    iterate,
     optimal_partition,
+    random_game,
 )
 from conftest import witness_violates
 
@@ -152,17 +162,74 @@ def test_the_table_holds_each_masks_best_split(case):
 
 
 def test_scans_on_a_fresh_game_build_no_table():
+    # Except dhp on the grand block, whose own DP is the solver's: it
+    # leaves the solver's table on the game.
     n = 7
     rng = random.Random(5)
-    g = Game(n, table=[0] + [Fraction(rng.randint(-3, 9), rng.randint(1, 2)) for _ in range((1 << n) - 1)])
+    v = [0] + [Fraction(rng.randint(-3, 9), rng.randint(1, 2)) for _ in range((1 << n) - 1)]
+    g = Game(n, table=list(v))
     for q in (Partition.grand(n), Partition.singletons(n), Partition.parse("{1,2,3} {4,5} {6,7}")):
-        for f, _, _ in CHECKS:
-            f(g, q)
+        for f, family, _ in CHECKS:
+            if family == "dc" or q != Partition.grand(n):
+                f(g, q)
     is_superadditive(g)
     is_superadditive(g, strict=True)
     corollary_shortcuts(g)
     assert g._split is None
     assert g._opt is None
+    for f in (check_dhp, check_strict_dhp):
+        grand = Game(n, table=list(v))
+        f(grand, Partition.grand(n))
+        assert grand._split is not None
+        assert grand._opt == optimal_partition(Game(n, table=list(v)))
+
+
+def _count_dp_calls(monkeypatch):
+    import coalstab.solver as solver
+
+    calls = []
+    dp = solver._dp
+    monkeypatch.setattr(solver, "_dp", lambda *a, **k: calls.append(1) or dp(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grand_dhp_checks_share_one_dp(seed, monkeypatch):
+    # The grand block's DP runs once, through the solver; the strict check
+    # after it reads the table.
+    rng = random.Random(seed)
+    n = 6 + seed % 3
+    g = Game(n, table=[0] + [rng.randint(0, 2) for _ in range((1 << n) - 1)])
+    calls = _count_dp_calls(monkeypatch)
+    grand = Partition.grand(n)
+    check_dhp(g, grand)
+    check_strict_dhp(g, grand)
+    assert calls == [1]
+
+
+@settings(max_examples=80)
+@given(tables(max_n=7))
+def test_grand_dhp_checks_on_a_fresh_game_agree_with_the_oracle(case):
+    n, v, _ = case
+    grand = Partition.grand(n)
+    for order in (CHECKS[2:], CHECKS[:1:-1]):
+        g = Game(n, table=list(v))
+        for f, family, strict in order:
+            got = f(g, grand)
+            assert got.stable == check_definitional(g, grand, family, strict=strict).stable
+            assert got == f(Game(n, table=list(v)), grand)
+            if not got.stable:
+                assert witness_violates(g, grand, got.witness, strict=strict)
+
+
+@pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
+def test_grand_block_over_the_split_cap_runs_no_solver(check):
+    n = PARTITION_ENUM_CAP + 1
+    g = Game.from_rule(n, lambda m: 0)
+    with pytest.raises(CapExceededError, match=f"cap of {PARTITION_ENUM_CAP}$"):
+        check(g, Partition.grand(n))
+    assert g._opt is None
+    assert g._split is None
 
 
 @pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
@@ -216,8 +283,6 @@ def test_checks_run_inside_the_dp_see_no_partial_table(solve, share):
 def test_dhp_witness_on_a_warmed_game_runs_no_dp(check, monkeypatch):
     # With the split table on the game, a gaining block's witness is read
     # off the table: no DP over the block's submasks.
-    import coalstab.solver as solver
-
     rng = random.Random(3)
     n = 7
     v = [0] + [rng.randint(0, 9) for _ in range((1 << n) - 1)]
@@ -226,8 +291,37 @@ def test_dhp_witness_on_a_warmed_game_runs_no_dp(check, monkeypatch):
     assert isinstance(expect.witness, BlockSplit)
     g = Game(n, table=list(v))
     optimal_partition(g)
-    calls = []
-    dp = solver._dp
-    monkeypatch.setattr(solver, "_dp", lambda *a, **k: calls.append(1) or dp(*a, **k))
+    calls = _count_dp_calls(monkeypatch)
     assert check(g, p) == expect
     assert calls == []
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from(list(GameClass)),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from((DEFAULT_RULES, ALL_RULES)),
+    st.data(),
+)
+def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, rules, data):
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: "dict[int, int]" = {}
+    for player, lab in enumerate(labels):
+        blocks[lab] = blocks.get(lab, 0) | 1 << player
+    p = Partition(tuple(Coalition(m) for m in blocks.values()))
+    spec = GeneratorSpec(n=n, kind=kind, low=0, high=2, seed=seed)
+
+    def answers(g):
+        return (
+            applicable_rules(g, p, rules),
+            is_closed(g, p, rules),
+            iterate(g, p, rules=rules),
+            iterate(g, p, BEST_GAIN, rules),
+        )
+
+    expect = answers(random_game(spec))
+    g = random_game(spec)
+    optimal_partition(g)
+    assert g._split is not None
+    assert answers(g) == expect
