@@ -27,6 +27,7 @@ from .model import (
     Value,
     _check_cap,
     _check_partition,
+    _from_masks,
     _partitions,
     _submasks,
     format_value,
@@ -156,7 +157,6 @@ def _iter_applications(
     """
     v = g.dense_table()
     split = g._split
-    k = len(pmasks)
     bvals = [v[m] for m in pmasks]
     if RuleName.MERGE in rules:
         for indices, separate, merged in _gaining_merges(v, pmasks, False):
@@ -182,53 +182,27 @@ def _iter_applications(
                     total += w[m]
                 gain = total - whole
                 if gain > 0:
-                    yield Split(
-                        i, Collection(tuple(Coalition(sub[m]) for m in parts)), gain
-                    )
+                    yield Split(i, _from_masks(Collection, [sub[m] for m in parts]), gain)
+    if RuleName.TRANSFER in rules or RuleName.EXCHANGE in rules:
+        # Each block of two or more players, with the payloads it can give:
+        # its proper nonempty subsets, ascending.
+        movable = [(i, pm, _submasks(pm)[1:-1]) for i, pm in enumerate(pmasks) if pm & (pm - 1)]
     if RuleName.TRANSFER in rules:
-        for i in range(k):
-            src = pmasks[i]
-            if src.bit_count() < 2:
-                continue
-            for j in range(k):
+        for i, src, moved in movable:
+            for j, tgt in enumerate(pmasks):
                 if j == i:
                     continue
-                tgt = pmasks[j]
                 base = bvals[i] + bvals[j]
-                t = 0
-                while True:
-                    t = (t - src) & src
-                    if t == 0:
-                        break
-                    if t == src:
-                        continue
+                for t in moved:
                     gain = v[src ^ t] + v[tgt | t] - base
                     if gain > 0:
                         yield Transfer(i, j, Coalition(t), gain)
     if RuleName.EXCHANGE in rules:
-        for i in range(k):
-            bi = pmasks[i]
-            if bi.bit_count() < 2:
-                continue
-            for j in range(i + 1, k):
-                bj = pmasks[j]
-                if bj.bit_count() < 2:
-                    continue
+        for a, (i, bi, firsts) in enumerate(movable):
+            for j, bj, seconds in movable[a + 1:]:
                 base = bvals[i] + bvals[j]
-                u1 = 0
-                while True:
-                    u1 = (u1 - bi) & bi
-                    if u1 == 0:
-                        break
-                    if u1 == bi:
-                        continue
-                    u2 = 0
-                    while True:
-                        u2 = (u2 - bj) & bj
-                        if u2 == 0:
-                            break
-                        if u2 == bj:
-                            continue
+                for u1 in firsts:
+                    for u2 in seconds:
                         gain = v[(bi ^ u1) | u2] + v[(bj ^ u2) | u1] - base
                         if gain > 0:
                             yield Exchange(i, j, Coalition(u1), Coalition(u2), gain)
@@ -403,7 +377,7 @@ def closure_outcomes(
                 seen.add(q)
                 stack.append(q)
         if fixed:
-            fixpoints.add(Partition(tuple(map(Coalition, node))))
+            fixpoints.add(_from_masks(Partition, node))
     return fixpoints
 
 

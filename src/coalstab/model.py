@@ -310,12 +310,34 @@ class Partition(Collection):
     @classmethod
     def singletons(cls, n: int) -> "Partition":
         _check_player_count(n)
-        return cls(tuple(Coalition(1 << i) for i in range(n)))
+        return _from_masks(cls, [1 << i for i in range(n)])
 
     @classmethod
     def grand(cls, n: int) -> "Partition":
         _check_player_count(n)
-        return cls((Coalition((1 << n) - 1),))
+        return _from_masks(cls, ((1 << n) - 1,))
+
+
+def _from_masks(cls, masks, coalitions=None):
+    """A ``cls`` (Collection or Partition) on block masks the library made
+    canonical: disjoint, sorted by least member and, for a Partition,
+    covering players 1..n.  No check is rerun.  A listing passes one
+    :class:`_Coalitions` so that its results share one Coalition per mask."""
+    masks = tuple(masks)
+    make = Coalition if coalitions is None else coalitions.__getitem__
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "blocks", tuple(map(make, masks)))
+    object.__setattr__(obj, "_masks", masks)
+    object.__setattr__(obj, "_union", sum(masks))
+    return obj
+
+
+class _Coalitions(dict):
+    """Coalitions by mask, built on first use; one per listing."""
+
+    def __missing__(self, mask: int) -> Coalition:
+        c = self[mask] = Coalition(mask)
+        return c
 
 
 def _key_mask(key: object, n: int) -> int:
@@ -507,7 +529,8 @@ def frame(collection: Collection, partition: Partition) -> Collection:
         raise ValueError(
             "player-count mismatch: the collection uses players the partition does not cover"
         )
-    return Collection(tuple(Coalition(pm & u) for pm in partition.masks if pm & u))
+    pieces = sorted((pm & u for pm in partition.masks if pm & u), key=lambda m: m & -m)
+    return _from_masks(Collection, pieces)
 
 
 def social_welfare(g: Game, collection: Collection) -> Value:
@@ -694,20 +717,23 @@ def enumerate_partitions(players: "int | Coalition | Iterable[int]"):
         mask = Coalition.from_members(players).mask
     _check_cap(mask.bit_count(), PARTITION_ENUM_CAP, "partition enumeration")
     build = Partition if mask & (mask + 1) == 0 else Collection
+    coalitions = _Coalitions()
     for masks in _iter_partition_masks(mask):
-        yield build(tuple(Coalition(m) for m in masks))
+        yield _from_masks(build, masks, coalitions)
 
 
 def enumerate_collections(n: int) -> Iterator[Collection]:
     """Yield every collection over {1..n}; the empty collection comes first."""
     _check_player_count(n)
     _check_cap(n, COLLECTION_ENUM_CAP, "collection enumeration")
+    coalitions = _Coalitions()
     for masks in _iter_collection_masks(n):
-        yield Collection(tuple(Coalition(m) for m in masks))
+        yield _from_masks(Collection, masks, coalitions)
 
 
 def enumerate_homogeneous_partitions(p: Partition) -> Iterator[Partition]:
     """Yield every partition obtainable from ``p`` by merges and splits."""
     _check_cap(p.n, PARTITION_ENUM_CAP, "partition enumeration")
+    coalitions = _Coalitions()
     for masks in _iter_homogeneous_masks(p.masks):
-        yield Partition(tuple(Coalition(m) for m in masks))
+        yield _from_masks(Partition, masks, coalitions)

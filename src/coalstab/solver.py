@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Coalition, Game, Partition, Value, _check_cap, _submasks
+from .model import Game, Partition, Value, _check_cap, _Coalitions, _from_masks, _submasks
 
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
@@ -144,12 +144,9 @@ def _rgs(blocks: "tuple[int, ...]", n: int) -> "list[int]":
     return key
 
 
-def _partition(blocks) -> Partition:
-    return Partition(tuple(Coalition(m) for m in blocks))
-
-
 def _in_rgs_order(groupings, n: int) -> "list[Partition]":
-    return [_partition(q) for q in sorted(groupings, key=lambda q: _rgs(q, n))]
+    coalitions = _Coalitions()
+    return [_from_masks(Partition, q, coalitions) for q in sorted(groupings, key=lambda q: _rgs(q, n))]
 
 
 def optimal_partition(g: Game) -> OptResult:
@@ -168,7 +165,8 @@ def optimal_partition(g: Game) -> OptResult:
     split: "list[Value]" = [0] * len(v)
     best, _ = _dp(v, split=split)
     g._split = split
-    result = OptResult(best[-1], _partition(next(_tie_walk(v, [best] * (n + 1), None, n, g.full_mask))))
+    witness = next(_tie_walk(v, [best] * (n + 1), None, n, g.full_mask))
+    result = OptResult(best[-1], _from_masks(Partition, witness))
     g._opt = result
     return result
 
@@ -216,7 +214,8 @@ def _bounded(g: Game, k: int, counting: bool = False):
         count.append(layer[1])
     for j in range(1, k + 1):
         if j not in g._bounded:
-            g._bounded[j] = OptResult(best[j][full], _partition(next(_tie_walk(v, best, None, j, full))))
+            witness = next(_tie_walk(v, best, None, j, full))
+            g._bounded[j] = OptResult(best[j][full], _from_masks(Partition, witness))
     if counting:
         return count[k][full], _tie_walk(v, best, count, k, full)
 

@@ -45,6 +45,7 @@ from .model import (
     Value,
     _check_cap,
     _check_partition,
+    _from_masks,
     _iter_collection_masks,
     _iter_homogeneous_masks,
     _iter_partition_masks,
@@ -52,7 +53,6 @@ from .model import (
 from .solver import (
     _best_grouping,
     _bounded,
-    _partition,
     _rgs,
     all_maximizers,
     optimal_partition,
@@ -332,7 +332,7 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
     if count == 1:
         return STABLE
     rival = min((q for q in maximizers if q != p.masks), key=lambda q: _rgs(q, g.n))
-    return Verdict(False, DefectingCollection(_partition(rival), swp, swp))
+    return Verdict(False, DefectingCollection(_from_masks(Partition, rival), swp, swp))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
             continue
         best, parts = _best_grouping(v, pm, split)
         if whole < best or (strict and len(parts) > 1):
-            return Verdict(False, BlockSplit(i, Collection(tuple(map(Coalition, parts))), whole, best))
+            return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
     # Merges: no union of two or more whole blocks may gain (strict: tie).
     for indices, separate, merged in _gaining_merges(v, pmasks, strict):
         return Verdict(False, BlockMerge(indices, separate, merged))
@@ -455,8 +455,7 @@ def check_definitional(
             if framed < welfare or (
                 strict and framed == welfare and not _frame_fixes(cmasks, u, pmasks)
             ):
-                rival = Collection(tuple(Coalition(m) for m in cmasks))
-                return Verdict(False, DefectingCollection(rival, framed, welfare))
+                return Verdict(False, DefectingCollection(_from_masks(Collection, cmasks), framed, welfare))
         return STABLE
     _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
     if kind.family == "dpk":
@@ -471,8 +470,7 @@ def check_definitional(
             continue
         total = _welfare(v, qmasks)
         if swp < total or (strict and swp == total and qmasks != pmasks):
-            rival = Partition(tuple(Coalition(m) for m in qmasks))
-            return Verdict(False, DefectingCollection(rival, swp, total))
+            return Verdict(False, DefectingCollection(_from_masks(Partition, qmasks), swp, total))
     return STABLE
 
 
