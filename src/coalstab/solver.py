@@ -5,18 +5,27 @@ least player, so each partition is represented exactly once and a pass
 over every set costs O(3**n) (Yeh, BIT 1986).  Stacked by block budget the
 pass gives the bounded optimum; with tie counts, a walk over the tied
 choices lists every optimal partition at a cost that grows with the list.
+
+The pass visits the sets by lowest bit, highest first, so each step is
+one int add and one compare.  A table that holds Fractions runs scaled
+to ints by the lcm of its denominators, while that lcm has at most
+``_SCALE_BITS`` bits; the walk reads the same scaled table, and only
+the reported values are divided back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
-from .model import Game, Partition, Value, _check_cap, _Coalitions, _from_masks, _submasks
+from .model import Game, Partition, Value, _check_cap, _Coalitions, _from_masks, _submasks, as_value
 
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
 MAXIMIZER_CAP = 10
 _NO_SPLIT = float("-inf")
+_SCALE_BITS = 8192  # the largest lcm of denominators the DP scales by
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,7 @@ class OptResult:
     witness: Partition
 
 
-def _dp(w, below=None, below_count=None, counting=False, cells=None, split=None):
+def _dp(w, below=None, below_count=None, counting=False, lowest=0, split=None):
     """One pass of the recurrence over the 2**b values ``w``.
 
     ``best[s]`` is the larger of ``w[s]`` and the best split of ``s``: the
@@ -35,45 +44,83 @@ def _dp(w, below=None, below_count=None, counting=False, cells=None, split=None)
     holding its least element, where ``rest`` is ``below`` (one block
     fewer) or, unbounded, ``best`` itself.  On a tie ``w[s]`` wins, and
     among splits the first block reached.  With ``counting``, ``count[s]``
-    is how many groupings reach ``best[s]``.  ``cells`` limits the masks;
-    a ``split`` list receives each best split (``-inf`` for one player).
+    is how many groupings reach ``best[s]``.  A ``split`` list receives
+    each best split (``-inf`` for one player).
+
+    Sets run by lowest bit, from the highest down: every set ``s ^ t``
+    read has a higher lowest bit than ``s``.  Within one lowest bit
+    ``low``, ``w[low:]`` is indexed by the block's other members, so a
+    step is one add and one compare.  Sets whose lowest bit is below
+    ``lowest`` are skipped, except the full set.  About 3**b/2 steps.
     """
     size = len(w)
     best: "list[Value]" = [0] * size
     count = [1] * size if counting else None
     rest_best = best if below is None else below
     rest_count = count if below_count is None else below_count
-    for s in range(1, size) if cells is None else cells:
-        low = s & -s
-        rest = s ^ low
-        b = w[s]
-        sp = _NO_SPLIT
-        t = rest
-        if count is None:
-            while t:
-                t = (t - 1) & rest
-                tm = low | t
-                cand = w[tm] + rest_best[s ^ tm]
-                if cand > sp:
-                    sp = cand
-        else:
-            c = 0
-            while t:
-                t = (t - 1) & rest
-                tm = low | t
-                r = s ^ tm
-                cand = w[tm] + rest_best[r]
-                if cand > sp:
-                    sp = cand
-                    c = rest_count[r]
-                elif cand == sp:
-                    c += rest_count[r]
-            if b <= sp:
-                count[s] = c + 1 if b == sp else c
-        best[s] = b if b >= sp else sp
-        if split is not None:
-            split[s] = sp
+    spans = [(1 << i, range(0, size, 2 << i)) for i in range(size.bit_length() - 2, lowest - 1, -1)]
+    if lowest:
+        spans.append((1, (size - 2,)))  # the full set
+    for low, rests in spans:
+        wl = w[low:]
+        for rest in rests:
+            s = low | rest
+            b = wl[rest]
+            sp = _NO_SPLIT
+            t = rest
+            if count is None:
+                while t:
+                    t = (t - 1) & rest
+                    cand = wl[t] + rest_best[rest ^ t]
+                    if cand > sp:
+                        sp = cand
+            else:
+                c = 0
+                while t:
+                    t = (t - 1) & rest
+                    r = rest ^ t
+                    cand = wl[t] + rest_best[r]
+                    if cand > sp:
+                        sp = cand
+                        c = rest_count[r]
+                    elif cand == sp:
+                        c += rest_count[r]
+                if b <= sp:
+                    count[s] = c + 1 if b == sp else c
+            best[s] = b if b >= sp else sp
+            if split is not None:
+                split[s] = sp
     return best, count
+
+
+def _int_table(v):
+    """``v`` as the DP runs it, and the factor it was scaled by.
+
+    An int table runs as it is, with factor ``None``.  A table holding a
+    Fraction runs multiplied by the lcm ``L`` of its denominators, as
+    ints: sums, comparisons and ties are the same, and an int add costs
+    about a fifteenth of a Fraction one.  Past ``_SCALE_BITS`` bits of
+    ``L`` the big-int adds and the divisions back cost more than they
+    save, so the table runs on its Fractions, with factor 1.  Read values
+    back with :func:`_unscale`.
+    """
+    if set(map(type, v)) <= {int}:
+        return v, None
+    scale = 1
+    for d in {x.denominator for x in v}:
+        scale = lcm(scale, d)
+        if scale.bit_length() > _SCALE_BITS:
+            return v, 1
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def _unscale(x, scale: "int | None") -> Value:
+    """A value of the table :func:`_int_table` gave back on the game's
+    scale: an int when integral, else a Fraction in lowest terms; ``-inf``
+    stays."""
+    if scale is None or x == _NO_SPLIT:
+        return x
+    return as_value(x if scale == 1 else Fraction(x, scale))
 
 
 def _tie_walk(w, best, count, j: int, s: int):
@@ -122,31 +169,44 @@ def _best_grouping(
     serves the whole walk.
     """
     expand = _submasks(mask)
-    w = [v[m] for m in expand]
+    w, scale = [v[m] for m in expand], None
     if split is None:
+        w, scale = _int_table(w)
         best, _ = _dp(w)
     else:
         best = [max(v[m], split[m]) for m in expand]
     top = len(w) - 1
     b = top.bit_length()
-    return best[top], tuple(expand[t] for t in next(_tie_walk(w, [best] * (b + 1), None, b, top)))
+    parts = next(_tie_walk(w, [best] * (b + 1), None, b, top))
+    return _unscale(best[top], scale), tuple(expand[t] for t in parts)
 
 
-def _rgs(blocks: "tuple[int, ...]", n: int) -> "list[int]":
-    """Each player's block index, blocks least member first: the
-    restricted-growth string whose order enumeration follows."""
-    key = [0] * n
-    for j, m in enumerate(blocks):
-        while m:
-            low = m & -m
-            key[low.bit_length() - 1] = j
-            m ^= low
-    return key
+def _rgs_key(n: int):
+    """A sort key for block tuples, blocks least member first, that orders
+    them as enumeration does, by restricted-growth string: the string read
+    as a number in base n, player 1's block index the leading digit."""
+    digits = [0]
+    for p in range(n):
+        d = n ** (n - 1 - p)
+        digits += [x + d for x in digits]
+    return lambda q: sum(j * digits[m] for j, m in enumerate(q))
 
 
 def _in_rgs_order(groupings, n: int) -> "list[Partition]":
     coalitions = _Coalitions()
-    return [_from_masks(Partition, q, coalitions) for q in sorted(groupings, key=lambda q: _rgs(q, n))]
+    return [_from_masks(Partition, q, coalitions) for q in sorted(groupings, key=_rgs_key(n))]
+
+
+def _full_dp(g: Game, counting: bool):
+    """The unbounded DP over the game's table, as :func:`_int_table`
+    gives it; stores the split table on the game once it is whole, on the
+    game's scale.  Returns the table the DP ran on, its ``best`` and
+    ``count`` tables and the scale."""
+    w, scale = _int_table(g.dense_table())
+    split: "list[Value]" = [0] * len(w)
+    best, count = _dp(w, counting=counting, split=split)
+    g._split = split if scale is None else [_unscale(x, scale) for x in split]
+    return w, best, count, scale
 
 
 def optimal_partition(g: Game) -> OptResult:
@@ -161,12 +221,9 @@ def optimal_partition(g: Game) -> OptResult:
         return cached
     n = g.n
     _check_cap(n, SOLVER_CAP, "solver")
-    v = g.dense_table()
-    split: "list[Value]" = [0] * len(v)
-    best, _ = _dp(v, split=split)
-    g._split = split
-    witness = next(_tie_walk(v, [best] * (n + 1), None, n, g.full_mask))
-    result = OptResult(best[-1], _from_masks(Partition, witness))
+    w, best, _, scale = _full_dp(g, False)
+    witness = next(_tie_walk(w, [best] * (n + 1), None, n, g.full_mask))
+    result = OptResult(_unscale(best[-1], scale), _from_masks(Partition, witness))
     g._opt = result
     return result
 
@@ -198,26 +255,27 @@ def _bounded(g: Game, k: int, counting: bool = False):
 
     Budget 1 is the value table itself and budget k covers the full mask
     only.  Budgets 2 .. k-1 cover the full mask and the masks without
-    player 1: a budget-j grouping of the full mask leaves, after player
-    1's block, a set without player 1, and so does every read below it.
-    About (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  Caches the optimum of
-    every budget up to ``k``; with ``counting``, returns how many
-    partitions reach the k-block optimum and a lazy walk over them.
+    player 1, whose lowest bit is 1 or higher: a budget-j grouping of the
+    full mask leaves, after player 1's block, a set without player 1, and
+    so does every read below it.  About (k-2)·3**(n-1)/2 + k·2**(n-1)
+    steps, on the table scaled to ints as :func:`_int_table` does.  Caches
+    the optimum of every budget up to ``k``; with ``counting``, returns
+    how many partitions reach the k-block optimum and a lazy walk over
+    them.
     """
-    v = g.dense_table()
+    w, scale = _int_table(g.dense_table())
     full = g.full_mask
-    best, count = [None, v], [None, [1] * (full + 1) if counting else None]
+    best, count = [None, w], [None, [1] * (full + 1) if counting else None]
     for j in range(2, k + 1):
-        cells = [full] if j == k else [*range(2, full, 2), full]
-        layer = _dp(v, best[-1], count[-1], counting, cells)
+        layer = _dp(w, best[-1], count[-1], counting, g.n if j == k else 1)
         best.append(layer[0])
         count.append(layer[1])
     for j in range(1, k + 1):
         if j not in g._bounded:
-            witness = next(_tie_walk(v, best, None, j, full))
-            g._bounded[j] = OptResult(best[j][full], _from_masks(Partition, witness))
+            witness = next(_tie_walk(w, best, None, j, full))
+            g._bounded[j] = OptResult(_unscale(best[j][full], scale), _from_masks(Partition, witness))
     if counting:
-        return count[k][full], _tie_walk(v, best, count, k, full)
+        return count[k][full], _tie_walk(w, best, count, k, full)
 
 
 def all_maximizers(g: Game) -> "list[Partition]":
@@ -230,10 +288,7 @@ def all_maximizers(g: Game) -> "list[Partition]":
     if g._maximizers is None:
         n = g.n
         _check_cap(n, MAXIMIZER_CAP, "maximizer enumeration")
-        v = g.dense_table()
-        split: "list[Value]" = [0] * len(v)
-        best, count = _dp(v, counting=True, split=split)
-        g._split = split
-        walk = _tie_walk(v, [best] * (n + 1), [count] * (n + 1), n, g.full_mask)
+        w, best, count, _ = _full_dp(g, True)
+        walk = _tie_walk(w, [best] * (n + 1), [count] * (n + 1), n, g.full_mask)
         g._maximizers = tuple(_in_rgs_order(walk, n))
     return list(g._maximizers)

@@ -49,11 +49,12 @@ from .model import (
     _iter_collection_masks,
     _iter_homogeneous_masks,
     _iter_partition_masks,
+    as_value,
 )
 from .solver import (
     _best_grouping,
     _bounded,
-    _rgs,
+    _rgs_key,
     all_maximizers,
     optimal_partition,
     optimal_partition_bounded,
@@ -191,7 +192,7 @@ def _welfare(v: "list[Value]", masks: "tuple[int, ...]") -> Value:
     total: Value = 0
     for m in masks:
         total += v[m]
-    return total
+    return as_value(total)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def _dc_scan(g: Game, p: Partition, strict: bool) -> Verdict:
                     if combined < separate or (strict and combined == separate):
                         return Verdict(
                             False,
-                            IntraBlockPair(i, Coalition(a), Coalition(u ^ a), separate, combined),
+                            IntraBlockPair(i, Coalition(a), Coalition(u ^ a), as_value(separate), combined),
                         )
                     if t == 0:
                         break
@@ -244,7 +245,7 @@ def _dc_scan(g: Game, p: Partition, strict: bool) -> Verdict:
                 pieces += v[pm & tmask]
             whole = v[tmask]
             if pieces < whole or (strict and pieces == whole):
-                return Verdict(False, IncompatibleSet(Coalition(tmask), pieces, whole))
+                return Verdict(False, IncompatibleSet(Coalition(tmask), as_value(pieces), whole))
     return STABLE
 
 
@@ -331,7 +332,7 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
         return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
     if count == 1:
         return STABLE
-    rival = min((q for q in maximizers if q != p.masks), key=lambda q: _rgs(q, g.n))
+    rival = min((q for q in maximizers if q != p.masks), key=_rgs_key(g.n))
     return Verdict(False, DefectingCollection(_from_masks(Partition, rival), swp, swp))
 
 
@@ -365,7 +366,7 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
             return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
     # Merges: no union of two or more whole blocks may gain (strict: tie).
     for indices, separate, merged in _gaining_merges(v, pmasks, strict):
-        return Verdict(False, BlockMerge(indices, separate, merged))
+        return Verdict(False, BlockMerge(indices, as_value(separate), as_value(merged)))
     return STABLE
 
 
@@ -455,7 +456,8 @@ def check_definitional(
             if framed < welfare or (
                 strict and framed == welfare and not _frame_fixes(cmasks, u, pmasks)
             ):
-                return Verdict(False, DefectingCollection(_from_masks(Collection, cmasks), framed, welfare))
+                rival = _from_masks(Collection, cmasks)
+                return Verdict(False, DefectingCollection(rival, as_value(framed), as_value(welfare)))
         return STABLE
     _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
     if kind.family == "dpk":

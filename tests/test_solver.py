@@ -179,20 +179,25 @@ class TestBoundedCells:
         full = (1 << n) - 1
         layers = []
 
-        def spy(w, below=None, below_count=None, counting=False, cells=None, split=None):
-            cells = None if cells is None else list(cells)
-            layers.append(cells)
-            return _dp(w, below, below_count, counting, cells, split)
+        def spy(w, below=None, below_count=None, counting=False, lowest=0, split=None):
+            # A pass writes a set's split exactly when it visits the set.
+            seen = [None] * len(w)
+            got = _dp(w, below, below_count, counting, lowest, seen)
+            layers.append([s for s, x in enumerate(seen) if x is not None])
+            return got
 
         monkeypatch.setattr(solver, "_dp", spy)
         _bounded(Game(n, table=_tie_table(n, "int", 0)), k, counting)
         without_player_1 = sorted([*range(2, full, 2), full])
         assert len(without_player_1) == 1 << (n - 1)
-        assert [sorted(c) for c in layers] == [without_player_1] * (k - 2) + [[full]]
+        assert layers == [without_player_1] * (k - 2) + [[full]]
 
     def test_cells_bound_the_pass(self):
-        # An empty cell list visits no set; it is not "every set".
-        assert _dp([0, 5, 7, 9], cells=[])[0] == [0, 0, 0, 0]
+        # The top-only pass visits the full set alone: no other set is
+        # written, and the full set reads the layer below.
+        split = [None] * 4
+        assert _dp([0, 5, 7, 9], [0, 5, 7, 9], lowest=2, split=split)[0] == [0, 0, 0, 12]
+        assert split == [None, None, None, 12]
         assert _dp([0, 5, 7, 9])[0] == [0, 5, 7, 12]
 
 

@@ -244,16 +244,21 @@ def test_split_scan_cap_holds_with_a_table(check):
 
 class ProbeTable(list):
     """A value table that runs ``probe`` once, from inside whatever reads
-    it, at its ``at``-th read."""
+    it, at its ``at``-th read.  A slice is a ProbeTable whose reads count
+    toward the table it was cut from."""
 
-    def __init__(self, values, at, probe):
+    def __init__(self, values, at=None, probe=None, root=None):
         super().__init__(values)
+        self.root = self if root is None else root
         self.reads, self.at, self.probe, self.seen = 0, at, probe, None
 
     def __getitem__(self, i):
-        self.reads += 1
-        if self.reads == self.at:
-            self.seen = self.probe()
+        if isinstance(i, slice):
+            return ProbeTable(super().__getitem__(i), root=self.root)
+        root = self.root
+        root.reads += 1
+        if root.reads == root.at:
+            root.seen = root.probe()
         return super().__getitem__(i)
 
 
