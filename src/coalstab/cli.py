@@ -56,6 +56,7 @@ from .dynamics import (
     FIRST_APPLICABLE,
     BEST_GAIN,
     RuleName,
+    _coerce_rules,
     closure_outcomes,
     iterate,
     random_strategy,
@@ -152,22 +153,8 @@ def _resolve_strategy(text: str):
     raise ValueError(f"unknown strategy {text!r}; expected first, best, or random:SEED")
 
 
-def _resolve_rules(text: str) -> "list[RuleName]":
-    out: list[RuleName] = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        try:
-            rule = RuleName(tok)
-        except ValueError as exc:
-            valid = ", ".join(r.value for r in RuleName)
-            raise ValueError(f"unknown rule {tok!r}; valid: {valid}") from exc
-        if rule not in out:
-            out.append(rule)
-    if not out:
-        raise ValueError("at least one rule is required")
-    return out
+def _resolve_rules(text: str) -> "tuple[RuleName, ...]":
+    return _coerce_rules(tok for tok in text.split(",") if tok.strip())
 
 
 def _witness_json(w: object) -> dict:

@@ -27,9 +27,11 @@ from .model import (
     Value,
     _check_cap,
     _check_partition,
+    _Coalitions,
     _from_masks,
     _partitions,
     _submasks,
+    as_value,
     format_value,
     social_welfare,
 )
@@ -126,25 +128,30 @@ def random_strategy(seed: int) -> Strategy:
     return Strategy("random", seed)
 
 
-def _coerce_rules(rules: "Iterable[RuleName | str]") -> frozenset:
-    out = set()
+def _coerce_rules(rules: "Iterable[RuleName | str]") -> "tuple[RuleName, ...]":
+    """The named rules in the order first given, each once."""
+    out: list[RuleName] = []
     for r in rules:
-        if isinstance(r, RuleName):
-            out.add(r)
-        elif isinstance(r, str):
-            try:
-                out.add(RuleName(r.strip().lower()))
-            except ValueError as exc:
-                raise ValueError(f"unknown rule {r!r}") from exc
-        else:
+        if not isinstance(r, str):
             raise TypeError(f"rules must be RuleName or str, got {r!r}")
+        token = r.strip().lower()
+        try:
+            rule = RuleName(token)
+        except ValueError as exc:
+            valid = ", ".join(x.value for x in RuleName)
+            raise ValueError(f"unknown rule {token!r}; valid: {valid}") from exc
+        if rule not in out:
+            out.append(rule)
     if not out:
         raise ValueError("at least one rule is required")
-    return frozenset(out)
+    return tuple(out)
 
 
 def _iter_applications(
-    g: Game, pmasks: "tuple[int, ...]", rules: frozenset
+    g: Game,
+    pmasks: "tuple[int, ...]",
+    rules: "tuple[RuleName, ...]",
+    coalitions: "_Coalitions | None" = None,
 ) -> Iterator[RuleApplication]:
     """All strictly-gaining applications, deterministic order.
 
@@ -153,8 +160,12 @@ def _iter_applications(
     order; transfers scan ordered block pairs and moved subsets ascending;
     exchanges scan unordered block pairs with both swapped subsets ascending.
     On a game that holds the solver's split table, a block whose best
-    split does not beat it is skipped without listing its cuts.
+    split does not beat it is skipped without listing its cuts.  Payload
+    and part coalitions come from ``coalitions``, one table per scan
+    unless the caller shares one.
     """
+    if coalitions is None:
+        coalitions = _Coalitions()
     v = g.dense_table()
     split = g._split
     bvals = [v[m] for m in pmasks]
@@ -182,7 +193,7 @@ def _iter_applications(
                     total += w[m]
                 gain = total - whole
                 if gain > 0:
-                    yield Split(i, _from_masks(Collection, [sub[m] for m in parts]), gain)
+                    yield Split(i, _from_masks(Collection, [sub[m] for m in parts], coalitions), gain)
     if RuleName.TRANSFER in rules or RuleName.EXCHANGE in rules:
         # Each block of two or more players, with the payloads it can give:
         # its proper nonempty subsets, ascending.
@@ -196,7 +207,7 @@ def _iter_applications(
                 for t in moved:
                     gain = v[src ^ t] + v[tgt | t] - base
                     if gain > 0:
-                        yield Transfer(i, j, Coalition(t), gain)
+                        yield Transfer(i, j, coalitions[t], gain)
     if RuleName.EXCHANGE in rules:
         for a, (i, bi, firsts) in enumerate(movable):
             for j, bj, seconds in movable[a + 1:]:
@@ -205,7 +216,7 @@ def _iter_applications(
                     for u2 in seconds:
                         gain = v[(bi ^ u1) | u2] + v[(bj ^ u2) | u1] - base
                         if gain > 0:
-                            yield Exchange(i, j, Coalition(u1), Coalition(u2), gain)
+                            yield Exchange(i, j, coalitions[u1], coalitions[u2], gain)
 
 
 def applicable_rules(
@@ -343,7 +354,7 @@ def iterate(
             else:
                 app = rng.choice(apps)  # type: ignore[union-attr]
         current = step(current, app)
-        welfare += app.gain
+        welfare = as_value(welfare + app.gain)
         steps.append(TraceStep(app, current, welfare))
     return Trace(p0, tuple(steps))
 
@@ -357,8 +368,9 @@ def closure_outcomes(
     partition once and scans its applications once; a partition with no
     gaining application is a fixpoint.  The generated applications are
     valid by construction, so they are rewritten without :func:`step`'s
-    checks.  Memory is the set of visited mask tuples, and only the
-    returned fixpoints become Partitions.  The number of reachable
+    checks.  Memory is the set of visited mask tuples and one Coalition
+    per payload mask, shared by the whole search; only the returned
+    fixpoints become Partitions.  The number of reachable
     partitions can reach Bell(n), hence the dedicated cap.
     """
     rules = _coerce_rules(rules)
@@ -367,10 +379,11 @@ def closure_outcomes(
     seen = {p0.masks}
     stack = [p0.masks]
     fixpoints = set()
+    coalitions = _Coalitions()
     while stack:
         node = stack.pop()
         fixed = True
-        for a in _iter_applications(g, node, rules):
+        for a in _iter_applications(g, node, rules, coalitions):
             fixed = False
             q = _apply(node, a)
             if q not in seen:

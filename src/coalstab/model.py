@@ -363,18 +363,19 @@ def _key_mask(key: object, n: int) -> int:
 class Game:
     """An n-player game: an exact value for every coalition, 0 for the empty set.
 
-    Either table-backed (a dense list of 2**n values) or rule-backed (a
-    callable on masks, memoized behind a lock so concurrent reads are safe
-    and deterministic).  Treat instances as immutable; the only internal
-    mutation is caching; the solver caches are written without a lock, as
-    racing writers store equal results.  ``family``/``params`` carry
-    optional provenance used by the file format to round-trip generated
-    games.
+    The values live in one dense list of 2**n values, indexed by mask.  A
+    table-backed game is given that list; a rule-backed game holds a
+    callable on masks and builds the list from it on its first value read,
+    once, under a lock, so concurrent reads are safe and deterministic.
+    Treat instances as immutable; the only internal mutation is caching;
+    the solver caches are written without a lock, as racing writers store
+    equal results.  ``family``/``params`` carry optional provenance used by
+    the file format to round-trip generated games.
     """
 
     __slots__ = (
         "n", "full_mask", "family", "params",
-        "_table", "_rule", "_memo", "_lock",
+        "_table", "_rule", "_lock",
         "_opt", "_bounded", "_maximizers", "_split",
     )
 
@@ -396,7 +397,6 @@ class Game:
         self.params = dict(params) if params else {}
         self._table = table
         self._rule = rule
-        self._memo: "dict[int, Value] | None" = {} if rule is not None else None
         self._lock = threading.Lock() if rule is not None else None
         self._opt = None
         self._bounded: dict[int, object] = {}
@@ -445,29 +445,16 @@ class Game:
         family: "str | None" = None,
         params: "Mapping[str, object] | None" = None,
     ) -> "Game":
-        """Build a lazily evaluated game from a callable on coalition masks."""
+        """Build a game from a callable on coalition masks.  Nothing is
+        evaluated until the first value read, which builds the whole table:
+        2**n - 1 calls, about a million at 20 players."""
         return cls(n, rule=rule, family=family, params=params)
 
     def mask_value(self, mask: int) -> Value:
         """Value of the coalition with the given bit pattern (0 for mask 0)."""
-        if mask == 0:
-            return 0
-        table = self._table
-        if table is not None:
-            return table[mask]
-        memo = self._memo
-        try:
-            return memo[mask]  # type: ignore[index]
-        except KeyError:
-            pass
-        with self._lock:  # type: ignore[union-attr]
-            if self._table is not None:  # built while we waited
-                return self._table[mask]
-            got = memo.get(mask)  # type: ignore[union-attr]
-            if got is None:
-                got = as_value(self._rule(mask))  # type: ignore[misc]
-                memo[mask] = got  # type: ignore[index]
-            return got
+        if not 0 <= mask <= self.full_mask:
+            raise ValueError(f"mask {mask} is outside this {self.n}-player game")
+        return self.dense_table()[mask]
 
     def value(self, coalition: Coalition) -> Value:
         if not isinstance(coalition, Coalition):
@@ -479,19 +466,14 @@ class Game:
     def dense_table(self) -> "list[Value]":
         """The full value list indexed by mask (index 0 is the empty set).
 
-        Rule-backed games build it once, in one pass under the lock that
-        reuses the memoized values, and then empty the memo, so each mask
-        is evaluated once and stored once.  Treat as read-only.
+        A rule-backed game builds it on the first read, in one pass under
+        its lock, so each mask is evaluated once.  Treat as read-only.
         """
         if self._table is None:
             with self._lock:  # type: ignore[union-attr]
                 if self._table is None:
-                    memo, rule = self._memo, self._rule
-                    self._table = [0] + [
-                        memo[m] if m in memo else as_value(rule(m))  # type: ignore[index, operator, misc]
-                        for m in range(1, 1 << self.n)
-                    ]
-                    memo.clear()  # type: ignore[union-attr]
+                    rule = self._rule
+                    self._table = [0] + [as_value(rule(m)) for m in range(1, 1 << self.n)]  # type: ignore[misc]
         return self._table
 
     def __eq__(self, other: object) -> bool:
@@ -539,10 +521,15 @@ def social_welfare(g: Game, collection: Collection) -> Value:
         raise ValueError(
             "player-count mismatch: the collection uses players beyond the game"
         )
+    return _welfare(g.dense_table(), collection.masks)
+
+
+def _welfare(v: "list[Value]", masks: "Iterable[int]") -> Value:
+    """The sum of a value table over block masks, as :func:`as_value` gives it."""
     total: Value = 0
-    for m in collection.masks:
-        total += g.mask_value(m)
-    return total
+    for m in masks:
+        total += v[m]
+    return as_value(total)
 
 
 def modified_social_welfare(g: Game, collection: Collection, partition: Partition) -> Value:

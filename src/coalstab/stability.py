@@ -49,6 +49,7 @@ from .model import (
     _iter_collection_masks,
     _iter_homogeneous_masks,
     _iter_partition_masks,
+    _welfare,
     as_value,
 )
 from .solver import (
@@ -186,13 +187,6 @@ class Verdict:
 
 
 STABLE = Verdict(True)
-
-
-def _welfare(v: "list[Value]", masks: "tuple[int, ...]") -> Value:
-    total: Value = 0
-    for m in masks:
-        total += v[m]
-    return as_value(total)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +335,6 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
 
 
 def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
-    v = g.dense_table()
     split = g._split
     pmasks = p.masks
     # Splits: no way of cutting one block into two or more parts may gain
@@ -349,7 +342,8 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
     # for a gaining block, gives the witness, the best grouping, without
     # a DP; that grouping leaves the block whole only when no split ties
     # or beats it.  The grand block's own DP is the solver's, so there
-    # the solver runs it and keeps the table for later checks.
+    # the solver runs it and keeps the table for later checks.  The value
+    # table is read only once a block has passed the cap.
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
         if size < 2:
@@ -358,6 +352,7 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
         if split is None and pm == g.full_mask:
             optimal_partition(g)
             split = g._split
+        v = g.dense_table()
         whole = v[pm]
         if split is not None and not _splits_gain(split[pm], whole, strict):
             continue
@@ -365,7 +360,7 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
         if whole < best or (strict and len(parts) > 1):
             return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
     # Merges: no union of two or more whole blocks may gain (strict: tie).
-    for indices, separate, merged in _gaining_merges(v, pmasks, strict):
+    for indices, separate, merged in _gaining_merges(g.dense_table(), pmasks, strict):
         return Verdict(False, BlockMerge(indices, as_value(separate), as_value(merged)))
     return STABLE
 
@@ -436,10 +431,10 @@ def check_definitional(
     _check_partition(g, p)
     if isinstance(kind, str):
         kind = kind_from_string(kind)
-    v = g.dense_table()
     pmasks = p.masks
     if kind.family == "dc":
         _check_cap(g.n, COLLECTION_ENUM_CAP, "collection enumeration")
+        v = g.dense_table()
         framed_by_union: dict[int, Value] = {}
         for cmasks in _iter_collection_masks(g.n):
             welfare: Value = 0
@@ -462,6 +457,7 @@ def check_definitional(
     _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
     if kind.family == "dpk":
         _validate_bound(g, p, kind.k)
+    v = g.dense_table()
     swp = _welfare(v, pmasks)
     if kind.family == "dhp":
         rivals = _iter_homogeneous_masks(pmasks)

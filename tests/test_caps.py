@@ -33,8 +33,15 @@ from coalstab import (
 from coalstab.cli import main
 
 
-def zero_game(n: int) -> Game:
-    return Game.from_rule(n, lambda m: 0)
+def zero_game(n: int, calls: "list[int] | None" = None) -> Game:
+    """An all-zero rule game; ``calls`` records each mask the rule is asked."""
+
+    def rule(mask):
+        if calls is not None:
+            calls.append(mask)
+        return 0
+
+    return Game.from_rule(n, rule)
 
 
 @pytest.mark.parametrize(
@@ -95,6 +102,22 @@ def test_entry_point_refuses_past_its_cap(call, cap):
 )
 def test_entry_point_runs_at_its_cap(call):
     call()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g: check_definitional(g, Partition.grand(g.n), "dc"),
+        lambda g: check_definitional(g, Partition.grand(g.n), "dp"),
+        lambda g: check_dhp(g, Partition.grand(g.n)),
+    ],
+    ids=["definitional_dc", "definitional_dp", "dhp_split"],
+)
+def test_refusal_evaluates_no_coalition(check):
+    calls = []
+    with pytest.raises(CapExceededError):
+        check(zero_game(20, calls))
+    assert calls == []
 
 
 def test_cli_bounded_maximizers_cap_exits_3(capsys, tmp_path):

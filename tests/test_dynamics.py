@@ -2,6 +2,7 @@
 traces, closure outcomes, and their agreement with the stability checkers."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,7 @@ from coalstab import (
     step,
     trace_lines,
 )
+from coalstab.dynamics import _coerce_rules
 
 EXA_1 = example_game("exa-1")
 EXA_MISS = example_game("exa-miss")
@@ -69,6 +71,11 @@ class TestRuleSets:
     def test_empty_rule_set_rejected(self):
         with pytest.raises(ValueError):
             applicable_rules(EXA_1, Partition.singletons(4), rules=[])
+
+    def test_rules_keep_the_order_first_given(self):
+        assert _coerce_rules(["Split ", "merge", RuleName.SPLIT]) == (RuleName.SPLIT, RuleName.MERGE)
+        with pytest.raises(ValueError, match="^unknown rule 'grow'; valid: merge, split, transfer, exchange$"):
+            _coerce_rules(["merge", " Grow"])
 
 
 class TestApplicableRules:
@@ -107,6 +114,18 @@ class TestApplicableRules:
         g = Game.from_table(2, {(1,): 1, (2,): 1, (1, 2): 0})
         got = applicable_rules(g, Partition.grand(2), rules=["split"])
         assert got == [Split(0, Collection.of([1], [2]), 2)]
+
+    def test_payloads_share_one_coalition_per_mask(self):
+        g = random_game(GeneratorSpec(n=6, kind="general", seed=3))
+        payloads = []
+        for a in applicable_rules(g, Partition.parse("{1,2,3} {4,5,6}"), rules=ALL_RULES):
+            if isinstance(a, Transfer):
+                payloads.append(a.moved)
+            elif isinstance(a, Exchange):
+                payloads += [a.from_first, a.from_second]
+            elif isinstance(a, Split):
+                payloads += a.parts.blocks
+        assert len({id(c) for c in payloads}) == len({c.mask for c in payloads}) < len(payloads)
 
     def test_player_count_checked(self):
         with pytest.raises(ValueError, match="player-count mismatch"):
@@ -229,6 +248,12 @@ class TestIterate:
             assert all(b > a for a, b in zip(welfare, welfare[1:]))
             assert is_closed(g, tr.final, rules=ALL_RULES)
 
+    def test_trace_welfare_follows_as_value(self):
+        half = Fraction(1, 2)
+        g = Game.from_table(2, {(1,): half, (2,): half, (1, 2): 2})
+        tr = iterate(g, Partition.singletons(2))
+        assert [repr(s.welfare) for s in tr.steps] == ["2"]
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             Strategy("fastest")
@@ -290,9 +315,9 @@ class TestClosureOutcomes:
         scanned = []
         scan = dynamics._iter_applications
 
-        def counting(g, pmasks, rules):
+        def counting(g, pmasks, rules, *rest):
             scanned.append(pmasks)
-            return scan(g, pmasks, rules)
+            return scan(g, pmasks, rules, *rest)
 
         monkeypatch.setattr(dynamics, "_iter_applications", counting)
         for kind in GameClass:

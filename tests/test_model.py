@@ -28,6 +28,7 @@ from coalstab import (
     modified_social_welfare,
     social_welfare,
 )
+from coalstab.gamefile import serialize_game
 from coalstab.model import MAX_VALUE_DIGITS
 from conftest import bell
 
@@ -312,7 +313,6 @@ class TestGame:
         assert [g.mask_value(m) for m in (7, 1, 31)] == [14, 2, 62]
         assert g.dense_table() == [2 * m for m in range(32)]
         assert sorted(calls) == list(range(1, 32))
-        assert g._memo == {}
         assert g.mask_value(7) == 14 and g.dense_table() is g.dense_table()
         assert len(calls) == 31
 
@@ -343,7 +343,29 @@ class TestGame:
             assert mine == expect[i::workers]
             assert table == expect and values == expect
         assert sorted(calls) == list(range(1, 1 << n))
-        assert g._memo == {}
+
+    def test_rule_game_evaluates_nothing_before_a_read(self):
+        calls = []
+
+        def rule(mask):
+            calls.append(mask)
+            return 0
+
+        g = Game.from_rule(4, rule, family="generalized_odd", params={"n": 2})
+        assert calls == []
+        assert serialize_game(g).startswith("representation: rule\n")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "g",
+        [Game.from_table(2, {(1, 2): 5, (1,): 1}), Game.from_rule(2, lambda m: m)],
+        ids=["table", "rule"],
+    )
+    def test_mask_value_refuses_masks_outside_the_game(self, g):
+        for mask in (-1, 4):
+            with pytest.raises(ValueError, match="outside this 2-player game"):
+                g.mask_value(mask)
+        assert [g.mask_value(m) for m in range(4)] == list(g.dense_table())
 
     def test_rule_values_coerced(self):
         g = Game.from_rule(2, lambda m: "1/2")
@@ -410,6 +432,14 @@ class TestFrameAndWelfare:
         g = Game.from_table(4, {(1, 2): 3, (3, 4): 2}, default=1)
         assert social_welfare(g, self.p) == 5
         assert social_welfare(g, Collection.of()) == 0
+
+    def test_welfare_values_follow_as_value(self):
+        g = Game.from_table(2, {(1,): Fraction(1, 2), (2,): Fraction(1, 2), (1, 2): Fraction(1, 3)})
+        p = Partition.parse("{1} {2}")
+        assert repr(social_welfare(g, p)) == "1"
+        assert repr(modified_social_welfare(g, Collection.of([1], [2]), p)) == "1"
+        assert repr(social_welfare(g, Collection.of([1]))) == "Fraction(1, 2)"
+        assert repr(social_welfare(g, Partition.grand(2))) == "Fraction(1, 3)"
 
     def test_modified_social_welfare(self):
         g = Game.from_table(4, {(1, 2): 3, (3, 4): 2}, default=1)
