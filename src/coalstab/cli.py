@@ -32,38 +32,10 @@ from .solver import (
     optimal_partition,
     optimal_partition_bounded,
 )
-from .stability import (
-    BlockMerge,
-    BlockSplit,
-    DefectingCollection,
-    DefectionKind,
-    IncompatibleSet,
-    IntraBlockPair,
-    Verdict,
-    check_dc,
-    check_dc_strict,
-    check_definitional,
-    check_dhp,
-    check_dp,
-    check_dp_k,
-    check_dp_k_strict,
-    check_strict_dhp,
-    check_strict_dp,
-    find_dc_stable,
-    kind_from_string,
-)
-from .dynamics import (
-    FIRST_APPLICABLE,
-    BEST_GAIN,
-    RuleName,
-    _coerce_rules,
-    closure_outcomes,
-    iterate,
-    random_strategy,
-    trace_lines,
-)
-from .games import odds_evens_partition, pairs_partition
 from .gamefile import FAMILIES, ParseError, build_family, load_game, serialize_game
+
+# ``stability``, ``dynamics`` and ``games`` are imported inside the commands
+# that use them, so that a process loads only what its subcommand needs.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +109,8 @@ def _resolve_partition(text: str, named: "dict[str, Partition]", game: Game) -> 
 
 
 def _resolve_strategy(text: str):
+    from .dynamics import BEST_GAIN, FIRST_APPLICABLE, random_strategy
+
     token = text.strip().lower()
     if token == "first":
         return FIRST_APPLICABLE
@@ -154,10 +128,14 @@ def _resolve_strategy(text: str):
 
 
 def _resolve_rules(text: str) -> "tuple[RuleName, ...]":
+    from .dynamics import _coerce_rules
+
     return _coerce_rules(tok for tok in text.split(",") if tok.strip())
 
 
 def _witness_json(w: object) -> dict:
+    from .stability import BlockMerge, BlockSplit, DefectingCollection, IncompatibleSet, IntraBlockPair
+
     if isinstance(w, IncompatibleSet):
         return {
             "kind": "incompatible_set",
@@ -200,16 +178,20 @@ def _witness_json(w: object) -> dict:
 
 
 def _fast_check(g: Game, p: Partition, kind: DefectionKind, strict: bool) -> Verdict:
+    from . import stability as st
+
     if kind.family == "dc":
-        return check_dc_strict(g, p) if strict else check_dc(g, p)
+        return st.check_dc_strict(g, p) if strict else st.check_dc(g, p)
     if kind.family == "dp":
-        return check_strict_dp(g, p) if strict else check_dp(g, p)
+        return st.check_strict_dp(g, p) if strict else st.check_dp(g, p)
     if kind.family == "dhp":
-        return check_strict_dhp(g, p) if strict else check_dhp(g, p)
-    return check_dp_k_strict(g, p, kind.k) if strict else check_dp_k(g, p, kind.k)
+        return st.check_strict_dhp(g, p) if strict else st.check_dhp(g, p)
+    return st.check_dp_k_strict(g, p, kind.k) if strict else st.check_dp_k(g, p, kind.k)
 
 
 def _cmd_check(args, game: Game, named: "dict[str, Partition]"):
+    from .stability import check_definitional, kind_from_string
+
     kind = kind_from_string(args.notion)
     part = _resolve_partition(args.partition, named, game)
     if args.oracle:
@@ -232,10 +214,14 @@ def _cmd_check(args, game: Game, named: "dict[str, Partition]"):
 
 def _cmd_find(args, game: Game, named: "dict[str, Partition]"):
     if args.notion == "dc":
+        from .stability import find_dc_stable
+
         found = find_dc_stable(game)
     elif args.notion == "dp":
         found = optimal_partition(game).witness
     else:
+        from .dynamics import iterate
+
         found = iterate(game, Partition.singletons(game.n)).final
     report = {"command": "find", "game": args.game, "notion": args.notion, "found": found is not None}
     if found is not None:
@@ -268,6 +254,8 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
 
 
 def _cmd_iterate(args, game: Game, named: "dict[str, Partition]"):
+    from .dynamics import iterate, trace_lines
+
     part = _resolve_partition(args.start, named, game)
     strategy = _resolve_strategy(args.strategy)
     rules = _resolve_rules(args.rules)
@@ -299,6 +287,8 @@ def _cmd_iterate(args, game: Game, named: "dict[str, Partition]"):
 
 
 def _cmd_outcomes(args, game: Game, named: "dict[str, Partition]"):
+    from .dynamics import closure_outcomes
+
     part = _resolve_partition(args.start, named, game)
     rules = _resolve_rules(args.rules)
     outs = sorted(closure_outcomes(game, part, rules), key=lambda q: q.masks)
@@ -314,6 +304,8 @@ def _cmd_outcomes(args, game: Game, named: "dict[str, Partition]"):
 
 
 def _family_partitions(family: str, game: Game) -> "dict[str, Partition]":
+    from .games import odds_evens_partition, pairs_partition
+
     if family == "generalized_odd":
         n = game.params["n"]
         return {"odds-evens": odds_evens_partition(n), "pairs": pairs_partition(n)}

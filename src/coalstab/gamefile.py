@@ -32,15 +32,6 @@ from .model import (
     as_value,
     format_value,
 )
-from .games import (
-    CityConfig,
-    GeneratorSpec,
-    example_game,
-    generalized_odd_game,
-    partition_power_game,
-    random_game,
-    transportation_game,
-)
 
 
 class ParseError(ValueError):
@@ -79,6 +70,17 @@ def build_family(family: str, raw_params: "Mapping[str, str]") -> Game:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; valid: {', '.join(FAMILIES)}")
+    # Imported here, so that reading a table document does not load ``games``.
+    from .games import (
+        CityConfig,
+        GeneratorSpec,
+        example_game,
+        generalized_odd_game,
+        partition_power_game,
+        random_game,
+        transportation_game,
+    )
+
     params = dict(raw_params)
 
     def take(name: str, convert: "Callable[[str], object]", default: "str | None" = None):
@@ -144,6 +146,13 @@ def _parse_entry_mask(literal: str, bits: "Mapping[str, int]", lineno: int) -> i
     return mask
 
 
+def _lines(text: str) -> "list[str]":
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r`` only, as ``open()`` reads
+    text, so that line numbers match an editor's (``str.splitlines`` also
+    breaks at form feeds, U+2028 and other separators)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     """Parse a game document into a Game and its named partitions."""
     representation = None
@@ -157,7 +166,7 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     param_lines: "dict[str, int]" = {}
     partition_entries: "dict[str, tuple[int, str]]" = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -341,8 +350,14 @@ def _member_lists(first: int, count: int) -> "list[str]":
 
 
 def load_game(path: "str | Path") -> "tuple[Game, dict[str, Partition]]":
-    """Read and parse a game document from disk."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    """Read and parse a UTF-8 game document from disk, skipping a byte-order mark."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_lines(data[: exc.start].decode("utf-8")))
+        bad = data[exc.start]
+        raise ParseError(f"{path}: line {lineno}: not UTF-8: cannot decode byte 0x{bad:02x}") from exc
     try:
         return parse_game(text)
     except ParseError as exc:

@@ -137,6 +137,15 @@ class TestCheck:
         )
         assert code == 2 and "line 4" in err["error"]
 
+    def test_game_file_that_is_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.game"
+        bad.write_bytes(b"representation: table\nn: 2\n# caf\xe9\n")
+        code, out, err = run_cli(
+            capsys, "check", "--game", str(bad), "--partition", "{1} {2}", "--notion", "dc"
+        )
+        assert code == 2 and out is None
+        assert err == {"error": f"{bad}: line 3: not UTF-8: cannot decode byte 0xe9"}
+
 
 class TestFind:
     def test_dc_found(self, capsys):

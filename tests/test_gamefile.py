@@ -508,3 +508,49 @@ class TestParseFixes:
         with pytest.raises(ParseError) as info:
             parse_game("\ufeff" + H)
         assert str(info.value) == "line 1: unknown key '\\ufeffrepresentation'"
+
+
+class TestLineBreaks:
+    def test_form_feed_in_a_comment_stays_in_its_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_game("# comment\x0ctail\nrepresentation: table\nn: 2\nvalue {1,3}: 5\n")
+        assert str(info.value) == "line 4: player index out of range: 3 in a 2-player game"
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, sep):
+        doc = f"# a{sep}b: c\n" + H + f"value {{1,2}}: 3  # d{sep}e\n"
+        g, named = parse_game(doc)
+        assert g.dense_table() == [0, 0, 0, 3] and named == {}
+        with pytest.raises(ParseError) as info:
+            parse_game(doc + f"# f{sep}g\nvalue {{3}}: 1\n")
+        assert str(info.value) == "line 7: player index out of range: 3 in a 2-player game"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings_number_lines_as_open_does(self, newline, tmp_path):
+        doc = newline.join(["representation: table", "n: 2", "", "value {1,3}: 5", ""])
+        with pytest.raises(ParseError) as info:
+            parse_game(doc)
+        assert str(info.value) == "line 4: player index out of range: 3 in a 2-player game"
+        path = tmp_path / "endings.game"
+        path.write_bytes(doc.encode())
+        with pytest.raises(ParseError) as info:
+            load_game(path)
+        assert str(info.value) == f"{path}: line 4: player index out of range: 3 in a 2-player game"
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "data,line,byte",
+        [
+            (b"\xffrepresentation: table\n", 1, "0xff"),
+            (b"representation: table\r\nn: 2\r# caf\xe9\n", 3, "0xe9"),
+            (b"\xef\xbb\xbfrepresentation: table\nn: 2\n\n# \xe2\x82", 4, "0xe2"),
+        ],
+        ids=["first-byte", "cr-line-endings", "bom-and-cut-sequence"],
+    )
+    def test_load_names_the_path_and_the_line_of_the_first_bad_byte(self, tmp_path, data, line, byte):
+        path = tmp_path / "latin1.game"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            load_game(path)
+        assert str(info.value) == f"{path}: line {line}: not UTF-8: cannot decode byte {byte}"
