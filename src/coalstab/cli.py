@@ -10,28 +10,16 @@ found), 2 for usage or input errors, 3 when an enumeration cap is hit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .model import (
-    PARTITION_ENUM_CAP,
-    CapExceededError,
-    Game,
-    Partition,
-    _check_cap,
-    _check_partition,
-    format_value,
-    social_welfare,
+    CapExceededError, Game, Partition, _check_partition, _Coalitions, _from_masks, format_value, social_welfare
 )
-from .solver import (
-    _bounded,
-    _in_rgs_order,
-    all_maximizers,
-    optimal_partition,
-    optimal_partition_bounded,
-)
+from .solver import _sorted_ties, optimal_partition, optimal_partition_bounded
 from .gamefile import FAMILIES, ParseError, build_family, load_game, serialize_game
 
 # ``stability``, ``dynamics`` and ``games`` are imported inside the commands
@@ -134,47 +122,22 @@ def _resolve_rules(text: str) -> "tuple[RuleName, ...]":
 
 
 def _witness_json(w: object) -> dict:
-    from .stability import BlockMerge, BlockSplit, DefectingCollection, IncompatibleSet, IntraBlockPair
-
-    if isinstance(w, IncompatibleSet):
-        return {
-            "kind": "incompatible_set",
-            "coalition": str(w.coalition),
-            "pieces_value": format_value(w.pieces_value),
-            "whole_value": format_value(w.whole_value),
-        }
-    if isinstance(w, IntraBlockPair):
-        return {
-            "kind": "intra_block_pair",
-            "block_index": w.block_index,
-            "a": str(w.a),
-            "b": str(w.b),
-            "separate": format_value(w.separate),
-            "combined": format_value(w.combined),
-        }
-    if isinstance(w, BlockSplit):
-        return {
-            "kind": "block_split",
-            "block_index": w.block_index,
-            "parts": str(w.parts),
-            "whole_value": format_value(w.whole_value),
-            "parts_value": format_value(w.parts_value),
-        }
-    if isinstance(w, BlockMerge):
-        return {
-            "kind": "block_merge",
-            "block_indices": list(w.block_indices),
-            "separate": format_value(w.separate),
-            "merged": format_value(w.merged),
-        }
-    if isinstance(w, DefectingCollection):
-        return {
-            "kind": "defecting_collection",
-            "collection": str(w.collection),
-            "framed_welfare": format_value(w.framed_welfare),
-            "welfare": format_value(w.welfare),
-        }
-    raise TypeError(f"not a witness: {w!r}")
+    """A witness as JSON, its fields in order after its ``kind``, the
+    class name in snake case: values as exact strings, block indices as
+    ints (a tuple of them as a list), coalitions and collections as
+    literals."""
+    kind = "".join("_" + c.lower() if c.isupper() else c for c in type(w).__name__)
+    out: dict = {"kind": kind[1:]}
+    for f in dataclasses.fields(w):  # type: ignore[arg-type]
+        x = getattr(w, f.name)
+        if f.type == "Value":
+            x = format_value(x)
+        elif isinstance(x, tuple):
+            x = list(x)
+        elif not isinstance(x, int):
+            x = str(x)
+        out[f.name] = x
+    return out
 
 
 def _fast_check(g: Game, p: Partition, kind: DefectionKind, strict: bool) -> Verdict:
@@ -243,12 +206,9 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
     if args.max_size is not None:
         report["max_size"] = args.max_size
     if args.all_maximizers:
-        if args.max_size is not None:
-            _check_cap(game.n, PARTITION_ENUM_CAP, "partition enumeration")
-            maxi = _in_rgs_order(_bounded(game, args.max_size, counting=True)[1], game.n)
-        else:
-            maxi = all_maximizers(game)
-        report["maximizers"] = [str(q) for q in maxi]
+        coalitions = _Coalitions()
+        maxi = _sorted_ties(game, game.n if args.max_size is None else args.max_size)
+        report["maximizers"] = [str(_from_masks(Partition, q, coalitions)) for q in maxi]
         report["maximizer_count"] = len(maxi)
     return 0, report
 

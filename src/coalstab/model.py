@@ -376,7 +376,7 @@ class Game:
     __slots__ = (
         "n", "full_mask", "family", "params",
         "_table", "_rule", "_lock",
-        "_opt", "_bounded", "_maximizers", "_split",
+        "_opt", "_bounded", "_ties", "_split",
     )
 
     def __init__(
@@ -400,7 +400,7 @@ class Game:
         self._lock = threading.Lock() if rule is not None else None
         self._opt = None
         self._bounded: dict[int, object] = {}
-        self._maximizers = None
+        self._ties: dict[int, tuple] = {}
         self._split: "list[Value] | None" = None
 
     @classmethod

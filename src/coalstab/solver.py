@@ -17,13 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from .model import Game, Partition, Value, _check_cap, _Coalitions, _from_masks, _submasks, as_value
+from .model import (
+    PARTITION_ENUM_CAP, CapExceededError, Game, Partition, Value,
+    _check_cap, _Coalitions, _from_masks, _submasks, as_value,
+)
 
 SOLVER_CAP = 18
 BOUNDED_SOLVER_CAP = 16
-MAXIMIZER_CAP = 10
+MAXIMIZER_CAP = 10  # a listing holds at most Bell(MAXIMIZER_CAP) partitions
+_LISTING_CAP = 115_975  # Bell(MAXIMIZER_CAP)
 _NO_SPLIT = float("-inf")
 _SCALE_BITS = 8192  # the largest lcm of denominators the DP scales by
 
@@ -129,9 +134,11 @@ def _tie_walk(w, best, count, j: int, s: int):
 
     ``best`` and ``count`` are stacks of tables indexed by block budget.
     The walk tries smaller blocks first; every tied branch completes, and
-    a node's scan stops once its branches add up to its count.  Without
-    counts it takes the first tie only: the grouping whose blocks have the
-    smallest bit patterns.
+    a node's scan stops once its branches add up to its count.  A node
+    whose one tied grouping is its whole set, the last block the scan
+    would reach, takes it without a scan.  Without counts it takes the
+    first tie only: the grouping whose blocks have the smallest bit
+    patterns.
     """
     ties: "dict[tuple[int, int], list[int]]" = {}
 
@@ -144,6 +151,9 @@ def _tie_walk(w, best, count, j: int, s: int):
             got = ties[j, s] = []
             need, low, t = count[j][s] if count else 1, s & -s, 0
             rest = s ^ low
+            if count and need == 1 and w[s] == best[j][s]:
+                got.append(s)
+                need = 0
             while need:
                 tm = low | t
                 if w[tm] + best[j - 1][s ^ tm] == best[j][s]:
@@ -181,10 +191,12 @@ def _best_grouping(
     return _unscale(best[top], scale), tuple(expand[t] for t in parts)
 
 
+@lru_cache(maxsize=None)
 def _rgs_key(n: int):
     """A sort key for block tuples, blocks least member first, that orders
     them as enumeration does, by restricted-growth string: the string read
-    as a number in base n, player 1's block index the leading digit."""
+    as a number in base n, player 1's block index the leading digit.  One
+    key per n, kept: the tie paths take it on every call."""
     digits = [0]
     for p in range(n):
         d = n ** (n - 1 - p)
@@ -192,21 +204,21 @@ def _rgs_key(n: int):
     return lambda q: sum(j * digits[m] for j, m in enumerate(q))
 
 
-def _in_rgs_order(groupings, n: int) -> "list[Partition]":
-    coalitions = _Coalitions()
-    return [_from_masks(Partition, q, coalitions) for q in sorted(groupings, key=_rgs_key(n))]
-
-
 def _full_dp(g: Game, counting: bool):
     """The unbounded DP over the game's table, as :func:`_int_table`
-    gives it; stores the split table on the game once it is whole, on the
-    game's scale.  Returns the table the DP ran on, its ``best`` and
-    ``count`` tables and the scale."""
+    gives it.  Leaves the optimum on the game, and the split table on the
+    game's scale once it is whole.  Returns the table the DP ran on and
+    its ``best`` and ``count`` tables, stacked by block budget as
+    :func:`_tie_walk` reads them: unbounded, every budget is the same."""
     w, scale = _int_table(g.dense_table())
     split: "list[Value]" = [0] * len(w)
     best, count = _dp(w, counting=counting, split=split)
     g._split = split if scale is None else [_unscale(x, scale) for x in split]
-    return w, best, count, scale
+    n = g.n
+    best, count = [best] * (n + 1), [count] * (n + 1)
+    witness = next(_tie_walk(w, best, None, n, g.full_mask))
+    g._opt = OptResult(_unscale(best[n][-1], scale), _from_masks(Partition, witness))
+    return w, best, count
 
 
 def optimal_partition(g: Game) -> OptResult:
@@ -216,16 +228,10 @@ def optimal_partition(g: Game) -> OptResult:
     block with the smallest bit pattern.  The result is cached on the game,
     and so is the DP's split table, which the stability scans read.
     """
-    cached = g._opt
-    if cached is not None:
-        return cached
-    n = g.n
-    _check_cap(n, SOLVER_CAP, "solver")
-    w, best, _, scale = _full_dp(g, False)
-    witness = next(_tie_walk(w, [best] * (n + 1), None, n, g.full_mask))
-    result = OptResult(_unscale(best[-1], scale), _from_masks(Partition, witness))
-    g._opt = result
-    return result
+    if g._opt is None:
+        _check_cap(g.n, SOLVER_CAP, "solver")
+        _full_dp(g, False)
+    return g._opt  # type: ignore[return-value]
 
 
 def optimal_partition_bounded(g: Game, k: int) -> OptResult:
@@ -259,9 +265,9 @@ def _bounded(g: Game, k: int, counting: bool = False):
     full mask leaves, after player 1's block, a set without player 1, and
     so does every read below it.  About (k-2)·3**(n-1)/2 + k·2**(n-1)
     steps, on the table scaled to ints as :func:`_int_table` does.  Caches
-    the optimum of every budget up to ``k``; with ``counting``, returns
-    how many partitions reach the k-block optimum and a lazy walk over
-    them.
+    the optimum of every budget up to ``k``.  Returns the table the DP ran
+    on and its ``best`` and ``count`` tables by budget (``count`` only
+    with ``counting``).
     """
     w, scale = _int_table(g.dense_table())
     full = g.full_mask
@@ -274,21 +280,51 @@ def _bounded(g: Game, k: int, counting: bool = False):
         if j not in g._bounded:
             witness = next(_tie_walk(w, best, None, j, full))
             g._bounded[j] = OptResult(_unscale(best[j][full], scale), _from_masks(Partition, witness))
-    if counting:
-        return count[k][full], _tie_walk(w, best, count, k, full)
+    return w, best, count
+
+
+def _ties(g: Game, k: int):
+    """How many partitions of at most ``k`` blocks reach the k-block
+    optimum, and a fresh lazy walk over them as block tuples.
+
+    One counting pass per budget, its tables cached on the game: the
+    unbounded DP at ``k = n``, whose optimum is also the budget-n one, and
+    the layered DP below.  A walk can reach Bell(n) groupings, so this
+    refuses past the partition enumeration cap before reading the table.
+    """
+    _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
+    tables = g._ties.get(k)
+    if tables is None:
+        if k == g.n:
+            tables = _full_dp(g, True)
+            g._bounded[k] = g._opt
+        else:
+            tables = _bounded(g, k, True)
+        g._ties[k] = tables
+    w, best, count = tables
+    return count[k][g.full_mask], _tie_walk(w, best, count, k, g.full_mask)
+
+
+def _sorted_ties(g: Game, k: int) -> "list[tuple[int, ...]]":
+    """The groupings :func:`_ties` walks, in enumeration order.  Refuses
+    past ``_LISTING_CAP`` of them before the walk starts."""
+    count, walk = _ties(g, k)
+    if count > _LISTING_CAP:
+        raise CapExceededError(
+            f"{count} maximizers exceed Bell({MAXIMIZER_CAP}) = {_LISTING_CAP},"
+            f" the maximizer enumeration cap of {MAXIMIZER_CAP}"
+        )
+    return sorted(walk, key=_rgs_key(g.n))
 
 
 def all_maximizers(g: Game) -> "list[Partition]":
     """Every partition achieving the optimum, in enumeration order.
 
     A counting DP pass plus a walk over the tied choices: O(3**n) plus the
-    size of the output, which can reach Bell(n), hence the tighter cap.
-    The result is cached on the game; callers get a fresh list each time.
+    size of the output, which can reach Bell(n).  The partition
+    enumeration cap applies, and the list holds at most
+    Bell(``MAXIMIZER_CAP``) partitions.  The DP's tables are cached on the
+    game, so a repeated call walks them again and runs no DP.
     """
-    if g._maximizers is None:
-        n = g.n
-        _check_cap(n, MAXIMIZER_CAP, "maximizer enumeration")
-        w, best, count, _ = _full_dp(g, True)
-        walk = _tie_walk(w, [best] * (n + 1), [count] * (n + 1), n, g.full_mask)
-        g._maximizers = tuple(_in_rgs_order(walk, n))
-    return list(g._maximizers)
+    coalitions = _Coalitions()
+    return [_from_masks(Partition, q, coalitions) for q in _sorted_ties(g, g.n)]

@@ -53,12 +53,7 @@ from .model import (
     as_value,
 )
 from .solver import (
-    _best_grouping,
-    _bounded,
-    _rgs_key,
-    all_maximizers,
-    optimal_partition,
-    optimal_partition_bounded,
+    _best_grouping, _rgs_key, _sorted_ties, _ties, optimal_partition, optimal_partition_bounded
 )
 
 
@@ -193,10 +188,9 @@ STABLE = Verdict(True)
 # dc: stability against arbitrary collections
 
 
-def _dc_scan(g: Game, p: Partition, strict: bool) -> Verdict:
+def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     v = g.dense_table()
     split = g._split
-    pmasks = p.masks
     # Condition 1: inside each block, no pair of disjoint pieces may beat
     # (strict: tie) their union.  Pairs are anchored on the union's least
     # player so each unordered pair appears once.  A cached split table
@@ -251,13 +245,13 @@ def _splits_gain(split: Value, whole: Value, strict: bool) -> bool:
 def check_dc(g: Game, p: Partition) -> Verdict:
     """Is no collection of disjoint coalitions better off on its own?"""
     _check_partition(g, p)
-    return _dc_scan(g, p, False)
+    return _dc_scan(g, p.masks, False)
 
 
 def check_dc_strict(g: Game, p: Partition) -> Verdict:
     """Strict version of :func:`check_dc`: both families of inequalities sharp."""
     _check_partition(g, p)
-    return _dc_scan(g, p, True)
+    return _dc_scan(g, p.masks, True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +270,22 @@ def check_dp(g: Game, p: Partition) -> Verdict:
 
 
 def check_strict_dp(g: Game, p: Partition) -> Verdict:
-    """Is ``p`` the unique social-welfare maximizer?"""
+    """Is ``p`` the unique social-welfare maximizer?  A tie-counting DP,
+    O(3**n), and a walk over the maximizers; the partition enumeration
+    cap applies."""
     _check_partition(g, p)
-    maxi = all_maximizers(g)
-    if maxi == [p]:
+    return _rival(g, p, _ties(g, g.n)[1])
+
+
+def _rival(g: Game, p: Partition, tied) -> Verdict:
+    """Unstable against the first grouping of ``tied`` other than ``p`` in
+    enumeration order, stable when there is none."""
+    rival = min((q for q in tied if q != p.masks), key=_rgs_key(g.n), default=None)
+    if rival is None:
         return STABLE
     v = g.dense_table()
-    swp = _welfare(v, p.masks)
-    rival = next(q for q in maxi if q != p)
-    return Verdict(False, DefectingCollection(rival, swp, _welfare(v, rival.masks)))
+    witness = DefectingCollection(_from_masks(Partition, rival), _welfare(v, p.masks), _welfare(v, rival))
+    return Verdict(False, witness)
 
 
 def _validate_bound(g: Game, p: Partition, k: int) -> None:
@@ -312,22 +313,20 @@ def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
 
 def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
     """Is ``p`` the unique welfare maximizer among partitions with at most
-    ``k`` blocks?  A counting layered DP, about (k-2)·3**(n-1)/2 +
-    k·2**(n-1) steps; on a tie the rival is the first other maximizer in
-    enumeration order, found by a walk over the tied partitions, hence the
-    partition enumeration cap."""
+    ``k`` blocks?  A tie-counting DP: layered below ``k = n``, about
+    (k-2)·3**(n-1)/2 + k·2**(n-1) steps, and one unbounded O(3**n) pass at
+    ``k = n``.  Below the k-block optimum the rival is the DP's witness;
+    on a tie it is the first other maximizer in enumeration order, found
+    by a walk over the tied partitions, hence the partition enumeration
+    cap."""
     _check_partition(g, p)
     _validate_bound(g, p, k)
-    _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
+    _, tied = _ties(g, k)
     swp = _welfare(g.dense_table(), p.masks)
-    count, maximizers = _bounded(g, k, counting=True)
     res = optimal_partition_bounded(g, k)
     if swp < res.optimum:
         return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
-    if count == 1:
-        return STABLE
-    rival = min((q for q in maximizers if q != p.masks), key=_rgs_key(g.n))
-    return Verdict(False, DefectingCollection(_from_masks(Partition, rival), swp, swp))
+    return _rival(g, p, tied)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +504,7 @@ def is_superadditive(g: Game, strict: bool = False) -> bool:
     (``strict=True``: <): the grand coalition passes the dc pair scan.
     Costs a 3**n disjoint-pair scan that stops at the first violation, or
     an O(2**n) sweep when the game holds the solver's split table."""
-    return _dc_scan(g, Partition.grand(g.n), strict).stable
+    return _dc_scan(g, (g.full_mask,), strict).stable
 
 
 @dataclass(frozen=True)
@@ -544,11 +543,11 @@ def corollary_shortcuts(g: Game) -> CorollaryReport:
 def find_dc_stable(g: Game) -> "Partition | None":
     """A dc-stable partition if one exists, else None.
 
-    Only welfare maximizers can be dc-stable, so the search space is
-    :func:`all_maximizers` (whose player cap applies); each candidate is
-    then vetted with the dc scan.
+    Only welfare maximizers can be dc-stable, so the search space is the
+    list :func:`all_maximizers` gives (whose caps apply), vetted in its
+    order with the dc scan; only the partition returned is built.
     """
-    for q in all_maximizers(g):
+    for q in _sorted_ties(g, g.n):
         if _dc_scan(g, q, False).stable:
-            return q
+            return _from_masks(Partition, q)
     return None

@@ -23,10 +23,12 @@ from coalstab import (
     check_definitional,
     check_dhp,
     check_dp_k_strict,
+    check_strict_dp,
     closure_outcomes,
     enumerate_collections,
     enumerate_homogeneous_partitions,
     enumerate_partitions,
+    find_dc_stable,
     optimal_partition,
     optimal_partition_bounded,
 )
@@ -62,6 +64,8 @@ def zero_game(n: int, calls: "list[int] | None" = None) -> Game:
             COLLECTION_ENUM_CAP,
         ),
         (lambda: check_dp_k_strict(zero_game(13), Partition.grand(13), 1), PARTITION_ENUM_CAP),
+        (lambda: check_strict_dp(zero_game(13), Partition.grand(13)), PARTITION_ENUM_CAP),
+        (lambda: find_dc_stable(zero_game(13)), PARTITION_ENUM_CAP),
         (lambda: check_dhp(zero_game(13), Partition.grand(13)), PARTITION_ENUM_CAP),
         (lambda: optimal_partition(zero_game(19)), SOLVER_CAP),
         (lambda: optimal_partition_bounded(zero_game(17), 2), BOUNDED_SOLVER_CAP),
@@ -74,7 +78,7 @@ def zero_game(n: int, calls: "list[int] | None" = None) -> Game:
     ],
     ids=[
         "enumerate_partitions", "enumerate_collections", "enumerate_homogeneous",
-        "definitional_dp", "definitional_dc", "dp_k_strict", "dhp_split",
+        "definitional_dp", "definitional_dc", "dp_k_strict", "strict_dp", "find_dc_stable", "dhp_split",
         "optimal_partition", "optimal_partition_bounded", "all_maximizers",
         "applicable_rules_split", "closure_outcomes",
     ],
@@ -94,10 +98,12 @@ def test_entry_point_refuses_past_its_cap(call, cap):
         lambda: check_dhp(zero_game(PARTITION_ENUM_CAP), Partition.grand(PARTITION_ENUM_CAP)),
         lambda: optimal_partition_bounded(zero_game(BOUNDED_SOLVER_CAP), 1),
         lambda: closure_outcomes(zero_game(CLOSURE_CAP), Partition.singletons(CLOSURE_CAP)),
+        lambda: all_maximizers(zero_game(MAXIMIZER_CAP)),
     ],
     ids=[
         "enumerate_partitions", "enumerate_collections", "enumerate_homogeneous",
         "dp_k_strict", "dhp_split", "optimal_partition_bounded", "closure_outcomes",
+        "all_maximizers",
     ],
 )
 def test_entry_point_runs_at_its_cap(call):
@@ -110,8 +116,9 @@ def test_entry_point_runs_at_its_cap(call):
         lambda g: check_definitional(g, Partition.grand(g.n), "dc"),
         lambda g: check_definitional(g, Partition.grand(g.n), "dp"),
         lambda g: check_dhp(g, Partition.grand(g.n)),
+        lambda g: check_strict_dp(g, Partition.grand(g.n)),
     ],
-    ids=["definitional_dc", "definitional_dp", "dhp_split"],
+    ids=["definitional_dc", "definitional_dp", "dhp_split", "strict_dp"],
 )
 def test_refusal_evaluates_no_coalition(check):
     calls = []
@@ -120,10 +127,16 @@ def test_refusal_evaluates_no_coalition(check):
     assert calls == []
 
 
-def test_cli_bounded_maximizers_cap_exits_3(capsys, tmp_path):
-    doc = tmp_path / "n13.game"
-    doc.write_text("representation: table\nn: 13\ndefault: 0\n")
-    code = main(["solve", "--game", str(doc), "--max-size", "2", "--all-maximizers"])
+@pytest.mark.parametrize(
+    "n,k,head,cap",
+    [(13, 2, "13 players", PARTITION_ENUM_CAP), (11, 10, "678569 maximizers", MAXIMIZER_CAP)],
+    ids=["players", "listing"],
+)
+def test_cli_bounded_maximizers_cap_exits_3(capsys, tmp_path, n, k, head, cap):
+    doc = tmp_path / f"n{n}.game"
+    doc.write_text(f"representation: table\nn: {n}\ndefault: 0\n")
+    code = main(["solve", "--game", str(doc), "--max-size", str(k), "--all-maximizers"])
     err = json.loads(capsys.readouterr().err)["error"]
     assert code == 3
-    assert err.endswith(f"cap of {PARTITION_ENUM_CAP}")
+    assert err.startswith(head)
+    assert err.endswith(f"cap of {cap}")

@@ -44,18 +44,38 @@ class TestCheck:
         assert out["notion"] == "dc" and out["partition"] == "{1,2} {3,4}"
         assert "witness" not in out
 
-    def test_unstable_partition_carries_witness(self, capsys):
+    @pytest.mark.parametrize(
+        "game,partition,notion,witness",
+        [
+            (EXA_MISS, "trap", ["dc"], [
+                ("kind", "incompatible_set"), ("coalition", "{1,2}"),
+                ("pieces_value", "2"), ("whole_value", "3"),
+            ]),
+            (EXA_MISS, "stable", ["dc", "--strict"], [
+                ("kind", "intra_block_pair"), ("block_index", 1), ("a", "{3}"), ("b", "{4}"),
+                ("separate", "2"), ("combined", "2"),
+            ]),
+            (EXA_A, "grand", ["dhp"], [
+                ("kind", "block_split"), ("block_index", 0), ("parts", "{1} {2,3}"),
+                ("whole_value", "6"), ("parts_value", "7"),
+            ]),
+            (EXA_A, "singletons", ["dhp"], [
+                ("kind", "block_merge"), ("block_indices", [0, 1]), ("separate", "4"), ("merged", "5"),
+            ]),
+            (EXA_MISS, "trap", ["dp"], [
+                ("kind", "defecting_collection"), ("collection", "{1,2} {3} {4}"),
+                ("framed_welfare", "4"), ("welfare", "5"),
+            ]),
+        ],
+        ids=["incompatible_set", "intra_block_pair", "block_split", "block_merge", "defecting_collection"],
+    )
+    def test_unstable_partition_carries_witness(self, capsys, game, partition, notion, witness):
         code, out, _ = run_cli(
-            capsys, "check", "--game", EXA_MISS, "--partition", "trap", "--notion", "dc"
+            capsys, "check", "--game", game, "--partition", partition, "--notion", *notion
         )
         assert code == 1
         assert out["stable"] is False
-        assert out["witness"] == {
-            "kind": "incompatible_set",
-            "coalition": "{1,2}",
-            "pieces_value": "2",
-            "whole_value": "3",
-        }
+        assert list(out["witness"].items()) == witness
 
     def test_literal_partition(self, capsys):
         code, out, _ = run_cli(

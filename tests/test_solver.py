@@ -21,7 +21,9 @@ from coalstab import (
     check_dc,
     check_dc_strict,
     check_dhp,
+    check_dp_k_strict,
     check_strict_dhp,
+    check_strict_dp,
     corollary_shortcuts,
     enumerate_partitions,
     example_game,
@@ -31,7 +33,7 @@ from coalstab import (
     random_game,
     social_welfare,
 )
-from coalstab.solver import _bounded, _dp
+from coalstab.solver import _bounded, _dp, _tie_walk
 from conftest import brute_force_optimum
 
 
@@ -156,7 +158,8 @@ class TestBoundedCells:
             groupings = [q.masks for q in enumerate_partitions(n)]
             for k in range(1, n + 1):
                 g = Game(n, table=list(v))
-                count, walk = _bounded(g, k, counting=True)
+                w, layers, counts = _bounded(g, k, counting=True)
+                count, walk = counts[k][-1], _tie_walk(w, layers, counts, k, (1 << n) - 1)
                 for j in range(1, k + 1):
                     fits = [q for q in groupings if len(q) <= j]
                     best = max(sum(v[m] for m in q) for q in fits)
@@ -233,6 +236,36 @@ class TestAllMaximizers:
         with pytest.raises(CapExceededError):
             all_maximizers(g)
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_tie_paths_run_one_pass_per_budget(self, n, monkeypatch):
+        # The tie-counting tables are cached per block budget and shared by
+        # the strict checks, the listing and the dc search; at k = n the
+        # strict dpk check runs the one unbounded pass.
+        import coalstab.solver as solver
+
+        passes = []
+
+        def spy(*args, **kwargs):
+            passes.append(1)
+            return _dp(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_dp", spy)
+        g = Game(n, table=_tie_table(n, "int", 0))
+        grand = Partition.grand(n)
+        counts = []
+        for call in (
+            lambda: check_dp_k_strict(g, grand, 3),
+            lambda: all_maximizers(g),
+            lambda: check_strict_dp(g, grand),
+            lambda: find_dc_stable(g),
+            lambda: check_dp_k_strict(g, grand, n),
+            lambda: check_dp_k_strict(Game(n, table=_tie_table(n, "int", 0)), grand, n),
+        ):
+            passes.clear()
+            call()
+            counts.append(len(passes))
+        assert counts == [2, 1, 0, 0, 0, 1]
+
 
 def _rule(m):
     return Fraction(m * 2654435761 % 7, 1 + m % 3)
@@ -272,6 +305,8 @@ class TestSharedGameThreads:
                 list(g.dense_table()),
                 optimal_partition(g),
                 [optimal_partition_bounded(g, k) for k in (3, 2, 5)],
+                check_strict_dp(g, optimal_partition(g).witness),
+                [check_dp_k_strict(g, optimal_partition_bounded(g, k).witness, k) for k in (3, 2, 5)],
                 all_maximizers(g),
             )
 

@@ -334,8 +334,15 @@ class TestSuperadditivity:
         assert is_superadditive(g)
         assert not is_superadditive(g, strict=True)
 
-    def test_strictly_superadditive(self):
-        g = Game.from_rule(4, lambda m: m.bit_count() ** 2)
+    @pytest.mark.parametrize("n", [4, 11, 12])
+    def test_strictly_superadditive(self, n):
+        # Past ten players the grand partition, the unique maximizer, is
+        # still listed, checked and found.
+        g = Game.from_rule(n, lambda m: m.bit_count() ** 2)
+        grand = Partition.grand(n)
+        assert all_maximizers(g) == [grand]
+        assert check_strict_dp(g, grand).stable
+        assert find_dc_stable(g) == grand
         assert is_superadditive(g, strict=True)
 
     def test_examples(self):
