@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Iterable, Iterator, Union
 
 from .model import (
-    PARTITION_ENUM_CAP,
     Coalition,
     Collection,
     Game,
@@ -35,7 +34,7 @@ from .model import (
     format_value,
     social_welfare,
 )
-from .stability import _gaining_merges
+from .stability import _gaining_merges, _gaining_splits
 
 CLOSURE_CAP = 8
 
@@ -156,36 +155,29 @@ def _iter_applications(
     """All strictly-gaining applications, deterministic order.
 
     Merges scan index subsets ascending by bit pattern; splits scan blocks
-    ascending and, per block, the ways of cutting it in restricted-growth
-    order; transfers scan ordered block pairs and moved subsets ascending;
-    exchanges scan unordered block pairs with both swapped subsets ascending.
-    On a game that holds the solver's split table, a block whose best
-    split does not beat it is skipped without listing its cuts.  Payload
-    and part coalitions come from ``coalitions``, one table per scan
-    unless the caller shares one.
+    ascending and, per block that can gain, the ways of cutting it in
+    restricted-growth order; transfers scan ordered block pairs and moved
+    subsets ascending; exchanges scan unordered block pairs with both
+    swapped subsets ascending.  Whether a block can gain is decided by
+    the dhp split scan, so a block without a gaining cut lists none.
+    Payload and part coalitions come from ``coalitions``, one table per
+    scan unless the caller shares one.  The value table is read only by
+    the rules that run, and the split rule reads it past its cap check.
     """
     if coalitions is None:
         coalitions = _Coalitions()
-    v = g.dense_table()
-    split = g._split
-    bvals = [v[m] for m in pmasks]
     if RuleName.MERGE in rules:
-        for indices, separate, merged in _gaining_merges(v, pmasks, False):
+        for indices, separate, merged in _gaining_merges(g.dense_table(), pmasks, False):
             yield Merge(indices, merged - separate)
     if RuleName.SPLIT in rules:
-        for i, pm in enumerate(pmasks):
-            size = pm.bit_count()
-            if size < 2:
-                continue
-            _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
-            if split is not None and split[pm] <= bvals[i]:
-                continue
+        for i, whole, _, _ in _gaining_splits(g, pmasks, False):
             # Cuts are enumerated over the block's own positions and read a
             # block-local table; only a gaining cut is mapped to players.
+            pm = pmasks[i]
             sub = _submasks(pm)
+            v = g.dense_table()
             w = [v[m] for m in sub]
-            whole = bvals[i]
-            for parts in _partitions(size):
+            for parts in _partitions(pm.bit_count()):
                 if len(parts) < 2:
                     continue
                 total: Value = 0
@@ -195,6 +187,8 @@ def _iter_applications(
                 if gain > 0:
                     yield Split(i, _from_masks(Collection, [sub[m] for m in parts], coalitions), gain)
     if RuleName.TRANSFER in rules or RuleName.EXCHANGE in rules:
+        v = g.dense_table()
+        bvals = [v[m] for m in pmasks]
         # Each block of two or more players, with the payloads it can give:
         # its proper nonempty subsets, ascending.
         movable = [(i, pm, _submasks(pm)[1:-1]) for i, pm in enumerate(pmasks) if pm & (pm - 1)]

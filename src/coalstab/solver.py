@@ -239,8 +239,9 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
 
     Same recurrence as :func:`optimal_partition`, layered by block budget
     and run only on the sets the top budget reads: about
-    (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  Monotone in ``k`` and equal to
-    the unbounded optimum at ``k = n``.  Results for every budget up to
+    (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  Monotone in ``k``.  At ``k = n``
+    the budget binds nothing, so the call is :func:`optimal_partition`,
+    with its cap and its cache.  Below, results for every budget up to
     ``k`` are cached on the game.
     """
     if isinstance(k, bool) or not isinstance(k, int):
@@ -248,6 +249,8 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"block budget k must be in 1..{n}, got {k}")
+    if k == n:
+        return optimal_partition(g)
     cached = g._bounded.get(k)
     if cached is not None:
         return cached  # type: ignore[return-value]
@@ -297,7 +300,6 @@ def _ties(g: Game, k: int):
     if tables is None:
         if k == g.n:
             tables = _full_dp(g, True)
-            g._bounded[k] = g._opt
         else:
             tables = _bounded(g, k, True)
         g._ties[k] = tables

@@ -334,15 +334,33 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
 
 
 def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
+    # Splits first, then merges: the first gaining (strict: tying)
+    # rearrangement of either kind is the witness.
+    for i, whole, best, parts in _gaining_splits(g, p.masks, strict):
+        return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
+    for indices, separate, merged in _gaining_merges(g.dense_table(), p.masks, strict):
+        return Verdict(False, BlockMerge(indices, as_value(separate), as_value(merged)))
+    return STABLE
+
+
+def _gaining_splits(
+    g: Game, pmasks: "tuple[int, ...]", strict: bool
+) -> "Iterator[tuple[int, Value, Value, tuple[int, ...]]]":
+    """Every block of two or more players with a cut into two or more
+    parts worth more (strict: at least as much) than the block, as
+    ``(index, whole, best, parts)``, blocks in order: ``best`` and
+    ``parts`` are the block's best grouping.  The dhp split scan and the
+    dynamics split rule both run on it.
+
+    A cached split table answers for each block and, for a gaining block,
+    gives its best grouping without a DP; that grouping leaves the block
+    whole only when no split ties or beats it.  Without the table each
+    block runs its own DP, except a block holding every player, whose DP
+    is the solver's: there the solver runs it and keeps the table for
+    later scans.  Each block passes the split-scan cap before the value
+    table is read for it.
+    """
     split = g._split
-    pmasks = p.masks
-    # Splits: no way of cutting one block into two or more parts may gain
-    # (strict: tie).  A cached split table answers for each block and,
-    # for a gaining block, gives the witness, the best grouping, without
-    # a DP; that grouping leaves the block whole only when no split ties
-    # or beats it.  The grand block's own DP is the solver's, so there
-    # the solver runs it and keeps the table for later checks.  The value
-    # table is read only once a block has passed the cap.
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
         if size < 2:
@@ -357,11 +375,7 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
             continue
         best, parts = _best_grouping(v, pm, split)
         if whole < best or (strict and len(parts) > 1):
-            return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
-    # Merges: no union of two or more whole blocks may gain (strict: tie).
-    for indices, separate, merged in _gaining_merges(g.dense_table(), pmasks, strict):
-        return Verdict(False, BlockMerge(indices, as_value(separate), as_value(merged)))
-    return STABLE
+            yield i, whole, best, parts
 
 
 def _gaining_merges(

@@ -29,6 +29,7 @@ from coalstab import (
     enumerate_homogeneous_partitions,
     enumerate_partitions,
     find_dc_stable,
+    is_closed,
     optimal_partition,
     optimal_partition_bounded,
 )
@@ -117,8 +118,13 @@ def test_entry_point_runs_at_its_cap(call):
         lambda g: check_definitional(g, Partition.grand(g.n), "dp"),
         lambda g: check_dhp(g, Partition.grand(g.n)),
         lambda g: check_strict_dp(g, Partition.grand(g.n)),
+        lambda g: applicable_rules(g, Partition.grand(g.n), ["split"]),
+        lambda g: is_closed(g, Partition.grand(g.n), ["split"]),
     ],
-    ids=["definitional_dc", "definitional_dp", "dhp_split", "strict_dp"],
+    ids=[
+        "definitional_dc", "definitional_dp", "dhp_split", "strict_dp",
+        "applicable_rules_split", "is_closed_split",
+    ],
 )
 def test_refusal_evaluates_no_coalition(check):
     calls = []

@@ -3,9 +3,9 @@
 ``optimal_partition`` and ``all_maximizers`` leave on the game, for every
 mask of two or more players, the best value of a grouping into two or
 more parts.  The dc pair scan, the dhp split scan and the dynamics split
-rule read it when it is there, and a dhp scan of the grand block leaves
-it; these tests hold them to the answers they give without it, and to the
-definitional oracles."""
+rule read it when it is there, and a dhp scan or a split rule on the
+grand block leaves it; these tests hold them to the answers they give
+without it, and to the definitional oracles."""
 
 import random
 from fractions import Fraction
@@ -222,7 +222,11 @@ def test_grand_dhp_checks_on_a_fresh_game_agree_with_the_oracle(case):
                 assert witness_violates(g, grand, got.witness, strict=strict)
 
 
-@pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
+@pytest.mark.parametrize(
+    "check",
+    [check_dhp, check_strict_dhp, lambda g, p: applicable_rules(g, p, ["split"])],
+    ids=["check_dhp", "check_strict_dhp", "split_rule"],
+)
 def test_grand_block_over_the_split_cap_runs_no_solver(check):
     n = PARTITION_ENUM_CAP + 1
     g = Game.from_rule(n, lambda m: 0)
@@ -330,3 +334,15 @@ def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, r
     optimal_partition(g)
     assert g._split is not None
     assert answers(g) == expect
+    # Both sides above decide gaining blocks by the same split scan, so the
+    # split rule is also held to every gaining cut, listed by enumeration.
+    v = g.dense_table()
+    cuts = [
+        (i, q.blocks, sum(v[b.mask] for b in q.blocks) - v[pm])
+        for i, pm in enumerate(p.masks)
+        for q in enumerate_partitions(Coalition(pm))
+        if len(q.blocks) > 1
+    ]
+    for game in (random_game(spec), g):
+        splits = applicable_rules(game, p, ["split"])
+        assert [(a.index, a.parts.blocks, a.gain) for a in splits] == [c for c in cuts if c[2] > 0]

@@ -7,7 +7,9 @@
 (three cities, decay 1/2 2/3 3/4), and the largest n whose int table is
 solved within 1 s (best of 3).  Two rows time the tie paths at their
 12-player cap on a strictly superadditive table: ``all_maximizers`` and
-``check_dp_k_strict(g, grand, 3)``.
+``check_dp_k_strict(g, grand, 3)``.  Two time the dynamics split rule on
+the same table: ``is_closed`` at the grand partition under merge and
+split, and at ``{1..11} {12}`` under the split rule alone.
 Each run calls a fresh game over a table built beforehand, so a row is
 the DP, its tie walk and the split table, not the table's construction.
 ``SRC_DIR`` (default: this repository's ``src``) is the package to time.
@@ -30,6 +32,7 @@ from coalstab import (  # noqa: E402
     Partition,
     all_maximizers,
     check_dp_k_strict,
+    is_closed,
     optimal_partition,
     transportation_game,
 )
@@ -73,6 +76,9 @@ def transportation_table() -> list:
 
 def main() -> None:
     grand3 = lambda g: check_dp_k_strict(g, Partition.grand(g.n), 3)
+    closed = lambda g: is_closed(g, Partition.grand(g.n))
+    eleven = Partition.parse("{1,2,3,4,5,6,7,8,9,10,11} {12}")
+    split_closed = lambda g: is_closed(g, eleven, ["split"])
     rows = [
         ("int table, n = 12", 12, int_table(12), optimal_partition),
         ("int table, n = 14", 14, int_table(14), optimal_partition),
@@ -80,6 +86,8 @@ def main() -> None:
         ("transportation, n = 12", 12, transportation_table(), optimal_partition),
         ("all_maximizers, n = 12", 12, superadditive_table(12), all_maximizers),
         ("check_dp_k_strict k=3, n = 12", 12, superadditive_table(12), grand3),
+        ("is_closed grand, n = 12", 12, superadditive_table(12), closed),
+        ("is_closed split, {1..11} {12}", 12, superadditive_table(12), split_closed),
     ]
     print(f"coalstab from {SRC}")
     for label, n, table, call in rows:
