@@ -19,7 +19,7 @@ from typing import Sequence
 from .model import (
     CapExceededError, Game, Partition, _check_partition, _Coalitions, _from_masks, format_value, social_welfare
 )
-from .solver import _sorted_ties, optimal_partition, optimal_partition_bounded
+from .solver import _check_budget, _sorted_ties, optimal_partition, optimal_partition_bounded
 from .gamefile import FAMILIES, ParseError, build_family, load_game, serialize_game
 
 # ``stability``, ``dynamics`` and ``games`` are imported inside the commands
@@ -193,10 +193,16 @@ def _cmd_find(args, game: Game, named: "dict[str, Partition]"):
 
 
 def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
-    if args.max_size is not None:
-        res = optimal_partition_bounded(game, args.max_size)
-    else:
-        res = optimal_partition(game)
+    k = game.n if args.max_size is None else args.max_size
+    maxi = None
+    if args.all_maximizers:
+        # The budget and the solver's cap are checked first, and the
+        # listing's cap before its counting pass, so a refused listing
+        # runs no DP; an answered one runs one, which leaves the optimum
+        # the solve below reads.
+        _check_budget(game, k)
+        maxi = _sorted_ties(game, k)
+    res = optimal_partition_bounded(game, k)
     report = {
         "command": "solve",
         "game": args.game,
@@ -205,9 +211,8 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
     }
     if args.max_size is not None:
         report["max_size"] = args.max_size
-    if args.all_maximizers:
+    if maxi is not None:
         coalitions = _Coalitions()
-        maxi = _sorted_ties(game, game.n if args.max_size is None else args.max_size)
         report["maximizers"] = [str(_from_masks(Partition, q, coalitions)) for q in maxi]
         report["maximizer_count"] = len(maxi)
     return 0, report

@@ -34,7 +34,7 @@ from .model import (
     format_value,
     social_welfare,
 )
-from .stability import _gaining_merges, _gaining_splits
+from .stability import _gaining_merges, _gaining_splits, _indices
 
 CLOSURE_CAP = 8
 
@@ -146,46 +146,58 @@ def _coerce_rules(rules: "Iterable[RuleName | str]") -> "tuple[RuleName, ...]":
     return tuple(out)
 
 
-def _iter_applications(
+def _edges(
     g: Game,
     pmasks: "tuple[int, ...]",
     rules: "tuple[RuleName, ...]",
-    coalitions: "_Coalitions | None" = None,
-) -> Iterator[RuleApplication]:
-    """All strictly-gaining applications, deterministic order.
+    cuts: "dict[int, list] | None" = None,
+) -> "Iterator[tuple[tuple[int, ...], RuleName, object, Value]]":
+    """Every strictly-gaining application as ``(child, rule, fields,
+    gain)``, deterministic order: ``child`` is the partition it leads to,
+    as block masks sorted by least member, and ``fields`` holds its
+    payload as masks: ``tmask`` (bit i picks block i) for a merge,
+    ``(index, parts)`` for a split, ``(source, target, moved)`` for a
+    transfer and ``(first, second, from_first, from_second)`` for an
+    exchange.
 
-    Merges scan index subsets ascending by bit pattern; splits scan blocks
-    ascending and, per block that can gain, the ways of cutting it in
-    restricted-growth order; transfers scan ordered block pairs and moved
-    subsets ascending; exchanges scan unordered block pairs with both
-    swapped subsets ascending.  Whether a block can gain is decided by
-    the dhp split scan, so a block without a gaining cut lists none.
-    Payload and part coalitions come from ``coalitions``, one table per
-    scan unless the caller shares one.  The value table is read only by
-    the rules that run, and the split rule reads it past its cap check.
+    Merges come from the dhp merge scan, index subsets ascending by bit
+    pattern; the union takes the place of its lowest block, so the child
+    needs no sort.  Splits scan blocks ascending and, per block that can
+    gain, the ways of cutting it in restricted-growth order, the parts
+    taking the block's place; whether a block can gain is decided by the
+    dhp split scan, so a block without a gaining cut lists none.
+    Transfers scan ordered block pairs and moved subsets ascending;
+    exchanges scan unordered block pairs with both swapped subsets
+    ascending; each rewrites two blocks of the parent and sorts.  A caller
+    that reads every yield may pass ``cuts``, a dict private to it, to keep
+    each block's gaining cuts by block mask across scans; without it the
+    cuts are listed lazily.  The value table is read only by the rules
+    that run, and the split rule reads it past its cap check.
     """
-    if coalitions is None:
-        coalitions = _Coalitions()
     if RuleName.MERGE in rules:
-        for indices, separate, merged in _gaining_merges(g.dense_table(), pmasks, False):
-            yield Merge(indices, merged - separate)
+        for tmask, union, separate, merged in _gaining_merges(g.dense_table(), pmasks, False):
+            child = [pm for pm in pmasks if not pm & union]
+            child.insert((tmask & -tmask).bit_length() - 1, union)
+            yield tuple(child), RuleName.MERGE, tmask, merged - separate
     if RuleName.SPLIT in rules:
-        for i, whole, _, _ in _gaining_splits(g, pmasks, False):
-            # Cuts are enumerated over the block's own positions and read a
-            # block-local table; only a gaining cut is mapped to players.
-            pm = pmasks[i]
-            sub = _submasks(pm)
-            v = g.dense_table()
-            w = [v[m] for m in sub]
-            for parts in _partitions(pm.bit_count()):
-                if len(parts) < 2:
-                    continue
-                total: Value = 0
-                for m in parts:
-                    total += w[m]
-                gain = total - whole
-                if gain > 0:
-                    yield Split(i, _from_masks(Collection, [sub[m] for m in parts], coalitions), gain)
+        for i, pm in enumerate(pmasks):
+            if not pm & (pm - 1):
+                continue  # one player: nothing to cut
+            found = None if cuts is None else cuts.get(pm)
+            if found is None:
+                found = _gaining_cuts(g, pm)
+                if cuts is not None:
+                    found = cuts[pm] = list(found)
+            # The first part keeps the block's least member, so the parts
+            # need sorting in only when the last one starts past the next
+            # block.
+            later = pmasks[i + 1:]
+            nxt = later[0] & -later[0] if later else 0
+            for parts, gain in found:
+                child = pmasks[:i] + parts + later
+                if nxt and parts[-1] & -parts[-1] > nxt:
+                    child = tuple(sorted(child, key=_least))
+                yield child, RuleName.SPLIT, (i, parts), gain
     if RuleName.TRANSFER in rules or RuleName.EXCHANGE in rules:
         v = g.dense_table()
         bvals = [v[m] for m in pmasks]
@@ -201,7 +213,8 @@ def _iter_applications(
                 for t in moved:
                     gain = v[src ^ t] + v[tgt | t] - base
                     if gain > 0:
-                        yield Transfer(i, j, coalitions[t], gain)
+                        child = _rewrite(pmasks, i, src ^ t, j, tgt | t)
+                        yield child, RuleName.TRANSFER, (i, j, t), gain
     if RuleName.EXCHANGE in rules:
         for a, (i, bi, firsts) in enumerate(movable):
             for j, bj, seconds in movable[a + 1:]:
@@ -210,7 +223,69 @@ def _iter_applications(
                     for u2 in seconds:
                         gain = v[(bi ^ u1) | u2] + v[(bj ^ u2) | u1] - base
                         if gain > 0:
-                            yield Exchange(i, j, coalitions[u1], coalitions[u2], gain)
+                            child = _rewrite(pmasks, i, (bi ^ u1) | u2, j, (bj ^ u2) | u1)
+                            yield child, RuleName.EXCHANGE, (i, j, u1, u2), gain
+
+
+def _least(mask: int) -> int:
+    """The sort key of a block: its least member's bit."""
+    return mask & -mask
+
+
+def _rewrite(pmasks: "tuple[int, ...]", i: int, bi: int, j: int, bj: int) -> "tuple[int, ...]":
+    """``pmasks`` with blocks ``i`` and ``j`` replaced by ``bi`` and
+    ``bj``, sorted by least member."""
+    child = list(pmasks)
+    child[i] = bi
+    child[j] = bj
+    child.sort(key=_least)
+    return tuple(child)
+
+
+def _gaining_cuts(g: Game, pm: int) -> "Iterator[tuple[tuple[int, ...], Value]]":
+    """Every cut of block ``pm`` into two or more parts worth more than the
+    block, as ``(parts, gain)`` in restricted-growth order, or none when
+    the dhp split scan finds that no cut gains.  Cuts are enumerated over
+    the block's own positions and read a block-local table; only a gaining
+    cut is mapped to players."""
+    for _, whole, _, _ in _gaining_splits(g, (pm,), False):
+        sub = _submasks(pm)
+        v = g.dense_table()
+        w = [v[m] for m in sub]
+        for parts in _partitions(pm.bit_count()):
+            if len(parts) < 2:
+                continue
+            total: Value = 0
+            for m in parts:
+                total += w[m]
+            gain = total - whole
+            if gain > 0:
+                yield tuple(map(sub.__getitem__, parts)), gain
+
+
+def _application(rule: RuleName, fields, gain: Value, coalitions: _Coalitions) -> RuleApplication:
+    """The application object of one :func:`_edges` yield; its payload
+    and part coalitions come from ``coalitions``."""
+    if rule is RuleName.MERGE:
+        return Merge(_indices(fields), gain)
+    if rule is RuleName.SPLIT:
+        i, parts = fields
+        return Split(i, _from_masks(Collection, parts, coalitions), gain)
+    if rule is RuleName.TRANSFER:
+        i, j, t = fields
+        return Transfer(i, j, coalitions[t], gain)
+    i, j, u1, u2 = fields
+    return Exchange(i, j, coalitions[u1], coalitions[u2], gain)
+
+
+def _iter_applications(
+    g: Game, pmasks: "tuple[int, ...]", rules: "tuple[RuleName, ...]"
+) -> Iterator[RuleApplication]:
+    """All strictly-gaining applications, in :func:`_edges` order, as
+    application objects, with one coalition table per scan."""
+    coalitions = _Coalitions()
+    for _, rule, fields, gain in _edges(g, pmasks, rules):
+        yield _application(rule, fields, gain, coalitions)
 
 
 def applicable_rules(
@@ -224,7 +299,7 @@ def applicable_rules(
 def is_closed(g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT_RULES) -> bool:
     """True iff no rule in the set strictly gains welfare at ``p``."""
     _check_partition(g, p)
-    return next(_iter_applications(g, p.masks, _coerce_rules(rules)), None) is None
+    return next(_edges(g, p.masks, _coerce_rules(rules)), None) is None
 
 
 def _check(pmasks: "tuple[int, ...]", a: RuleApplication) -> None:
@@ -324,7 +399,9 @@ def iterate(
 
     Terminates on every input because each application strictly increases
     welfare and there are finitely many partitions.  Deterministic for all
-    three strategies (random is seeded per call).
+    three strategies (random is seeded per call).  Each step picks among
+    the scan's edges and builds the application object and the partition
+    of the one it takes.
     """
     rules = _coerce_rules(rules)
     _check_partition(g, p0)
@@ -334,22 +411,24 @@ def iterate(
     current = p0
     welfare = social_welfare(g, p0)
     steps: list[TraceStep] = []
+    coalitions = _Coalitions()
     while True:
         if strategy.kind == "first":
-            app = next(_iter_applications(g, current.masks, rules), None)
-            if app is None:
+            edge = next(_edges(g, current.masks, rules), None)
+            if edge is None:
                 break
         else:
-            apps = list(_iter_applications(g, current.masks, rules))
-            if not apps:
+            edges = list(_edges(g, current.masks, rules))
+            if not edges:
                 break
             if strategy.kind == "best":
-                app = max(apps, key=lambda a: a.gain)
+                edge = max(edges, key=lambda e: e[3])
             else:
-                app = rng.choice(apps)  # type: ignore[union-attr]
-        current = step(current, app)
-        welfare = as_value(welfare + app.gain)
-        steps.append(TraceStep(app, current, welfare))
+                edge = rng.choice(edges)  # type: ignore[union-attr]
+        child, rule, fields, gain = edge
+        current = _from_masks(Partition, child, coalitions)
+        welfare = as_value(welfare + gain)
+        steps.append(TraceStep(_application(rule, fields, gain, coalitions), current, welfare))
     return Trace(p0, tuple(steps))
 
 
@@ -359,12 +438,13 @@ def closure_outcomes(
     """Every fixpoint reachable from ``p0`` by any order of applications.
 
     A depth-first search over block-mask tuples visits each reachable
-    partition once and scans its applications once; a partition with no
-    gaining application is a fixpoint.  The generated applications are
-    valid by construction, so they are rewritten without :func:`step`'s
-    checks.  Memory is the set of visited mask tuples and one Coalition
-    per payload mask, shared by the whole search; only the returned
-    fixpoints become Partitions.  The number of reachable
+    partition once and scans its gaining edges once (:func:`_edges`),
+    taking each child's mask tuple straight from the scan: no application
+    object is built and :func:`step`'s checks are not rerun.  A partition
+    with no gaining edge is a fixpoint.  Each block's gaining cuts are
+    kept by block mask for the whole search, in a table private to the
+    call.  Memory is the set of visited mask tuples and that table; only
+    the returned fixpoints become Partitions.  The number of reachable
     partitions can reach Bell(n), hence the dedicated cap.
     """
     rules = _coerce_rules(rules)
@@ -373,16 +453,15 @@ def closure_outcomes(
     seen = {p0.masks}
     stack = [p0.masks]
     fixpoints = set()
-    coalitions = _Coalitions()
+    cuts: "dict[int, list]" = {}
     while stack:
         node = stack.pop()
         fixed = True
-        for a in _iter_applications(g, node, rules, coalitions):
+        for child, _, _, _ in _edges(g, node, rules, cuts):
             fixed = False
-            q = _apply(node, a)
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
         if fixed:
             fixpoints.add(_from_masks(Partition, node))
     return fixpoints

@@ -244,19 +244,27 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
     with its cap and its cache.  Below, results for every budget up to
     ``k`` are cached on the game.
     """
+    _check_budget(g, k)
+    if k == g.n:
+        return optimal_partition(g)
+    if k not in g._bounded:
+        _bounded(g, k)
+    return g._bounded[k]  # type: ignore[return-value]
+
+
+def _check_budget(g: Game, k: int) -> None:
+    """Refuse a block budget as :func:`optimal_partition_bounded` does
+    before any DP: its type, its range, then the cap of the solver that
+    answers it (the unbounded one at ``k = n``)."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError("block budget k must be an int")
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"block budget k must be in 1..{n}, got {k}")
     if k == n:
-        return optimal_partition(g)
-    cached = g._bounded.get(k)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    _check_cap(n, BOUNDED_SOLVER_CAP, "bounded solver")
-    _bounded(g, k)
-    return g._bounded[k]  # type: ignore[return-value]
+        _check_cap(n, SOLVER_CAP, "solver")
+    else:
+        _check_cap(n, BOUNDED_SOLVER_CAP, "bounded solver")
 
 
 def _bounded(g: Game, k: int, counting: bool = False):

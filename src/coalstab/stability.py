@@ -338,8 +338,8 @@ def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
     # rearrangement of either kind is the witness.
     for i, whole, best, parts in _gaining_splits(g, p.masks, strict):
         return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
-    for indices, separate, merged in _gaining_merges(g.dense_table(), p.masks, strict):
-        return Verdict(False, BlockMerge(indices, as_value(separate), as_value(merged)))
+    for tmask, _, separate, merged in _gaining_merges(g.dense_table(), p.masks, strict):
+        return Verdict(False, BlockMerge(_indices(tmask), as_value(separate), as_value(merged)))
     return STABLE
 
 
@@ -380,11 +380,13 @@ def _gaining_splits(
 
 def _gaining_merges(
     v: "list[Value]", pmasks: "tuple[int, ...]", strict: bool
-) -> "Iterator[tuple[tuple[int, ...], Value, Value]]":
+) -> "Iterator[tuple[int, int, Value, Value]]":
     """Every union of two or more whole blocks worth more (strict: at
-    least as much) than the blocks apart, as ``(indices, separate,
-    merged)``, index subsets ascending by bit pattern.  The dhp merge scan
-    and the dynamics merge rule both run on it.
+    least as much) than the blocks apart, as ``(tmask, union, separate,
+    merged)``: bit i of ``tmask`` picks block i, and :func:`_indices`
+    spells it out for a caller that needs the indices.  Index subsets come
+    ascending by bit pattern.  The dhp merge scan and the dynamics merge
+    rule both run on it.
 
     Unions and sums are kept running, one per set bit of ``tmask``,
     highest bit first: counting ``tmask`` up clears its trailing ones and
@@ -406,7 +408,12 @@ def _gaining_merges(
         if tmask & (tmask - 1):
             merged = v[union]
             if separate < merged or (strict and separate == merged):
-                yield tuple(i for i in range(k) if tmask >> i & 1), separate, merged
+                yield tmask, union, separate, merged
+
+
+def _indices(tmask: int) -> "tuple[int, ...]":
+    """The positions of ``tmask``'s set bits, ascending."""
+    return tuple(i for i in range(tmask.bit_length()) if tmask >> i & 1)
 
 
 def check_dhp(g: Game, p: Partition) -> Verdict:

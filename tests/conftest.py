@@ -43,6 +43,16 @@ def bell(n: int) -> int:
     return row[0]
 
 
+def count_dp_calls(monkeypatch):
+    """Count ``solver._dp`` passes from here on; returns the growing list."""
+    import coalstab.solver as solver
+
+    calls = []
+    dp = solver._dp
+    monkeypatch.setattr(solver, "_dp", lambda *a, **k: calls.append(1) or dp(*a, **k))
+    return calls
+
+
 def brute_force_optimum(g: Game):
     """Welfare maximum by plain enumeration; independent of the solver DP."""
     best = None

@@ -16,6 +16,7 @@ import pytest
 
 from coalstab import Partition, example_game, load_game
 from coalstab.cli import main
+from conftest import count_dp_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 GAMES = ROOT / "games"
@@ -240,6 +241,42 @@ class TestSolve:
     def test_bad_bound(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--game", EXA_A, "--max-size", "0")
         assert code == 2 and "k must be" in err["error"]
+
+    @pytest.mark.parametrize(
+        "n,k,error",
+        [
+            (13, None, "13 players exceed the partition enumeration cap of 12"),
+            (16, 2, "16 players exceed the partition enumeration cap of 12"),
+            (17, 17, "17 players exceed the partition enumeration cap of 12"),
+            (17, 2, "17 players exceed the bounded solver cap of 16"),
+            (19, None, "19 players exceed the solver cap of 18"),
+            (19, 19, "19 players exceed the solver cap of 18"),
+        ],
+    )
+    def test_refused_listing_runs_no_dp(self, capsys, tmp_path, monkeypatch, n, k, error):
+        # The listing's cap and the solver's are tested before any DP, the
+        # solver's first, so each refusal is the one the solve would give.
+        doc = tmp_path / "zero.game"
+        doc.write_text(f"representation: table\nn: {n}\ndefault: 0\n")
+        calls = count_dp_calls(monkeypatch)
+        bound = [] if k is None else ["--max-size", str(k)]
+        code, out, err = run_cli(capsys, "solve", "--game", str(doc), "--all-maximizers", *bound)
+        assert code == 3 and out is None
+        assert err["error"] == error
+        assert calls == []
+
+    @pytest.mark.parametrize("bound", [[], ["--max-size", "2"]], ids=["unbounded", "bounded"])
+    def test_answered_listing_runs_one_pass(self, capsys, monkeypatch, bound):
+        # The counting pass leaves the optimum the report reads: one DP,
+        # one layer at budget 2, and the same optimum and witness as a
+        # plain solve.
+        game = str(GAMES / "exa-miss1.game")
+        _, plain, _ = run_cli(capsys, "solve", "--game", game, *bound)
+        calls = count_dp_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, "solve", "--game", game, "--all-maximizers", *bound)
+        assert code == 0 and calls == [1]
+        assert (out["optimum"], out["witness"]) == (plain["optimum"], plain["witness"])
+        assert out["witness"] in out["maximizers"]
 
 
 class TestIterate:

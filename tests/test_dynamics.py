@@ -2,6 +2,7 @@
 traces, closure outcomes, and their agreement with the stability checkers."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from coalstab import (
     check_dc,
     check_dhp,
     closure_outcomes,
+    enumerate_partitions,
     example_game,
     format_application,
     generalized_odd_game,
@@ -41,11 +43,27 @@ from coalstab import (
     step,
     trace_lines,
 )
-from coalstab.dynamics import _coerce_rules
+from coalstab.dynamics import _apply, _coerce_rules, _edges, _iter_applications
 
 EXA_1 = example_game("exa-1")
 EXA_MISS = example_game("exa-miss")
 EXA_2 = example_game("exa-2")
+
+# Every single rule, then the default and the full set, with a stable label.
+RULE_SETS = [(r.value, [r]) for r in RuleName] + [("default", DEFAULT_RULES), ("all", ALL_RULES)]
+
+
+def random_cases(max_n=7, seeds=2):
+    """``(label, game, partitions)`` for every random_game class, n = 1..max_n:
+    the singletons, the grand partition and three drawn partitions."""
+    for n in range(1, max_n + 1):
+        every = list(enumerate_partitions(n))
+        for kind in GameClass:
+            for seed in range(seeds):
+                g = random_game(GeneratorSpec(n=n, kind=kind, seed=seed))
+                rng = random.Random(f"{n}|{kind.value}|{seed}")
+                starts = [Partition.singletons(n), Partition.grand(n)] + rng.sample(every, min(3, len(every)))
+                yield f"{n} {kind.value} {seed}", g, starts
 
 
 class TestRuleSets:
@@ -130,6 +148,40 @@ class TestApplicableRules:
     def test_player_count_checked(self):
         with pytest.raises(ValueError, match="player-count mismatch"):
             applicable_rules(EXA_1, Partition.singletons(3))
+
+
+class TestEdges:
+    def test_children_are_the_applications_rewritten(self):
+        # The edge generator and the application objects built from it list
+        # the same edges in the same order; a block-cut table kept across
+        # the scans of one game changes nothing.
+        for _, g, starts in random_cases():
+            for _, rules in RULE_SETS:
+                rules = _coerce_rules(rules)
+                cuts = {}
+                for p in starts:
+                    expect = [_apply(p.masks, a) for a in _iter_applications(g, p.masks, rules)]
+                    for table in (None, cuts):
+                        assert [e[0] for e in _edges(g, p.masks, rules, table)] == expect
+
+    def test_edges_carry_the_application_gains(self):
+        for _, g, starts in random_cases(max_n=5):
+            for p in starts:
+                edges = list(_edges(g, p.masks, _coerce_rules(ALL_RULES)))
+                apps = applicable_rules(g, p, ALL_RULES)
+                assert [(e[1], e[3]) for e in edges] == [(a.rule, a.gain) for a in apps]
+                for child, _, _, gain in edges:
+                    assert social_welfare(g, Partition(tuple(map(Coalition, child)))) == social_welfare(g, p) + gain
+
+    def test_applicable_rules_pinned_over_random_games(self):
+        # Application reprs, one line per case: every random_game class,
+        # n = 1..7, every single rule and both rule sets.
+        h = hashlib.sha256()
+        for label, g, starts in random_cases():
+            for name, rules in RULE_SETS:
+                for p in starts:
+                    h.update(f"{label} {name} {p}: {applicable_rules(g, p, rules)!r}\n".encode())
+        assert h.hexdigest() == "d284534b2f7fa82d602c2cfdd50da19f93ba09296f6a8cae0378140f1d3c394a"
 
 
 class TestStep:
@@ -313,13 +365,13 @@ class TestClosureOutcomes:
         import coalstab.dynamics as dynamics
 
         scanned = []
-        scan = dynamics._iter_applications
+        scan = dynamics._edges
 
         def counting(g, pmasks, rules, *rest):
             scanned.append(pmasks)
             return scan(g, pmasks, rules, *rest)
 
-        monkeypatch.setattr(dynamics, "_iter_applications", counting)
+        monkeypatch.setattr(dynamics, "_edges", counting)
         for kind in GameClass:
             for seed in range(2):
                 g = random_game(GeneratorSpec(n=5, kind=kind, seed=seed))

@@ -35,6 +35,7 @@ from coalstab import (
     enumerate_homogeneous_partitions,
     enumerate_partitions,
     frame,
+    iterate,
     odds_evens_partition,
     optimal_partition,
     optimal_partition_bounded,
@@ -105,6 +106,7 @@ SITES = {
         _split_gains(4), Partition.grand(4), [RuleName.SPLIT]
     ),
     "closure_fixpoints": lambda: closure_outcomes(_split_gains(4), Partition.grand(4)),
+    "iterate_steps": lambda: iterate(_split_gains(4), Partition.grand(4)).steps,
 }
 
 

@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from coalstab import (
+    ALL_RULES,
     BOUNDED_SOLVER_CAP,
+    DEFAULT_RULES,
     MAXIMIZER_CAP,
     SOLVER_CAP,
     CapExceededError,
@@ -24,6 +26,7 @@ from coalstab import (
     check_dp_k_strict,
     check_strict_dhp,
     check_strict_dp,
+    closure_outcomes,
     corollary_shortcuts,
     enumerate_partitions,
     example_game,
@@ -296,8 +299,14 @@ def _race(work, workers):
 class TestSharedGameThreads:
     def test_cached_entry_points_agree_across_threads(self):
         # The caches are written without a lock; racing writers must still
-        # leave every thread with the answers a fresh game gives.
+        # leave every thread with the answers a fresh game gives.  Each
+        # closure keeps its blocks' cuts in a table of its own while the
+        # solvers put the split table on the game.
         n, workers = 8, 8
+        starts = (
+            (Partition.parse("{1,2,3,4,5} {6,7} {8}"), DEFAULT_RULES),
+            (Partition.parse("{1,2,3,4} {5,6} {7} {8}"), ALL_RULES),
+        )
 
         def answers(g):
             return (
@@ -308,6 +317,7 @@ class TestSharedGameThreads:
                 check_strict_dp(g, optimal_partition(g).witness),
                 [check_dp_k_strict(g, optimal_partition_bounded(g, k).witness, k) for k in (3, 2, 5)],
                 all_maximizers(g),
+                [closure_outcomes(g, p, rules) for p, rules in starts],
             )
 
         expect = answers(Game.from_rule(n, _rule))

@@ -34,6 +34,7 @@ from coalstab import (
     check_definitional,
     check_dhp,
     check_strict_dhp,
+    closure_outcomes,
     corollary_shortcuts,
     enumerate_partitions,
     find_dc_stable,
@@ -43,7 +44,7 @@ from coalstab import (
     optimal_partition,
     random_game,
 )
-from conftest import witness_violates
+from conftest import count_dp_calls, witness_violates
 
 CHECKS = (
     (check_dc, "dc", False),
@@ -184,15 +185,6 @@ def test_scans_on_a_fresh_game_build_no_table():
         assert grand._opt == optimal_partition(Game(n, table=list(v)))
 
 
-def _count_dp_calls(monkeypatch):
-    import coalstab.solver as solver
-
-    calls = []
-    dp = solver._dp
-    monkeypatch.setattr(solver, "_dp", lambda *a, **k: calls.append(1) or dp(*a, **k))
-    return calls
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_grand_dhp_checks_share_one_dp(seed, monkeypatch):
     # The grand block's DP runs once, through the solver; the strict check
@@ -200,7 +192,7 @@ def test_grand_dhp_checks_share_one_dp(seed, monkeypatch):
     rng = random.Random(seed)
     n = 6 + seed % 3
     g = Game(n, table=[0] + [rng.randint(0, 2) for _ in range((1 << n) - 1)])
-    calls = _count_dp_calls(monkeypatch)
+    calls = count_dp_calls(monkeypatch)
     grand = Partition.grand(n)
     check_dhp(g, grand)
     check_strict_dhp(g, grand)
@@ -300,7 +292,7 @@ def test_dhp_witness_on_a_warmed_game_runs_no_dp(check, monkeypatch):
     assert isinstance(expect.witness, BlockSplit)
     g = Game(n, table=list(v))
     optimal_partition(g)
-    calls = _count_dp_calls(monkeypatch)
+    calls = count_dp_calls(monkeypatch)
     assert check(g, p) == expect
     assert calls == []
 
@@ -322,11 +314,14 @@ def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, r
     spec = GeneratorSpec(n=n, kind=kind, low=0, high=2, seed=seed)
 
     def answers(g):
+        # closure_outcomes keeps each block's cuts for one search, from the
+        # block's own DP on the fresh game and from the table on the other
         return (
             applicable_rules(g, p, rules),
             is_closed(g, p, rules),
             iterate(g, p, rules=rules),
             iterate(g, p, BEST_GAIN, rules),
+            closure_outcomes(g, p, rules),
         )
 
     expect = answers(random_game(spec))
@@ -346,3 +341,4 @@ def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, r
     for game in (random_game(spec), g):
         splits = applicable_rules(game, p, ["split"])
         assert [(a.index, a.parts.blocks, a.gain) for a in splits] == [c for c in cuts if c[2] > 0]
+

@@ -214,13 +214,13 @@ class TestDhpOnExamples:
     @pytest.mark.parametrize("strict", [False, True])
     def test_merge_scan_matches_unions_built_from_scratch(self, strict):
         # the scan keeps its unions and sums running; each yield must equal
-        # the subset's own union and exact sum, of the same type, in
-        # bit-pattern order (values mix ints and Fractions)
+        # the subset's own bit pattern, union and exact sum, of the same
+        # type, in bit-pattern order (values mix ints and Fractions)
         from fractions import Fraction
         from random import Random
 
         from coalstab.model import as_value
-        from coalstab.stability import _gaining_merges
+        from coalstab.stability import _gaining_merges, _indices
 
         rng = Random(3)
         for _ in range(40):
@@ -238,8 +238,8 @@ class TestDhpOnExamples:
                 union = sum(pmasks[j] for j in idx)
                 separate = sum(v[pmasks[j]] for j in idx)
                 if separate < v[union] or (strict and separate == v[union]):
-                    expect.append((idx, separate, type(separate), v[union]))
-            got = [(i, s, type(s), m) for i, s, m in _gaining_merges(v, pmasks, strict)]
+                    expect.append((tmask, idx, union, separate, type(separate), v[union]))
+            got = [(t, _indices(t), u, s, type(s), m) for t, u, s, m in _gaining_merges(v, pmasks, strict)]
             assert got == expect
 
 

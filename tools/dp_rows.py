@@ -9,7 +9,10 @@ solved within 1 s (best of 3).  Two rows time the tie paths at their
 12-player cap on a strictly superadditive table: ``all_maximizers`` and
 ``check_dp_k_strict(g, grand, 3)``.  Two time the dynamics split rule on
 the same table: ``is_closed`` at the grand partition under merge and
-split, and at ``{1..11} {12}`` under the split rule alone.
+split, and at ``{1..11} {12}`` under the split rule alone.  Two time
+``closure_outcomes`` from the singletons of an 8-player strictly
+superadditive table, where every one of the Bell(8) partitions is
+reachable: under merge and split, and under all four rules.
 Each run calls a fresh game over a table built beforehand, so a row is
 the DP, its tie walk and the split table, not the table's construction.
 ``SRC_DIR`` (default: this repository's ``src``) is the package to time.
@@ -27,11 +30,14 @@ SRC = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path.insert(0, str(SRC))
 
 from coalstab import (  # noqa: E402
+    ALL_RULES,
+    DEFAULT_RULES,
     CityConfig,
     Game,
     Partition,
     all_maximizers,
     check_dp_k_strict,
+    closure_outcomes,
     is_closed,
     optimal_partition,
     transportation_game,
@@ -79,6 +85,7 @@ def main() -> None:
     closed = lambda g: is_closed(g, Partition.grand(g.n))
     eleven = Partition.parse("{1,2,3,4,5,6,7,8,9,10,11} {12}")
     split_closed = lambda g: is_closed(g, eleven, ["split"])
+    closure = lambda rules: lambda g: closure_outcomes(g, Partition.singletons(g.n), rules)
     rows = [
         ("int table, n = 12", 12, int_table(12), optimal_partition),
         ("int table, n = 14", 14, int_table(14), optimal_partition),
@@ -88,6 +95,8 @@ def main() -> None:
         ("check_dp_k_strict k=3, n = 12", 12, superadditive_table(12), grand3),
         ("is_closed grand, n = 12", 12, superadditive_table(12), closed),
         ("is_closed split, {1..11} {12}", 12, superadditive_table(12), split_closed),
+        ("closure merge/split, n = 8", 8, superadditive_table(8), closure(DEFAULT_RULES)),
+        ("closure all rules, n = 8", 8, superadditive_table(8), closure(ALL_RULES)),
     ]
     print(f"coalstab from {SRC}")
     for label, n, table, call in rows:
