@@ -6,8 +6,10 @@ over every set costs O(3**n) (Yeh, BIT 1986).  Stacked by block budget the
 pass gives the bounded optimum; with tie counts, a walk over the tied
 choices lists every optimal partition at a cost that grows with the list.
 
-The pass visits the sets by lowest bit, highest first, so each step is
-one int add and one compare.  A table that holds Fractions runs scaled
+The pass visits the sets by lowest bit, highest first.  Without tie
+counts it reads together the candidates that differ only in where the
+two highest players go: one submask of the other members gives up to
+four int adds and compares.  A table that holds Fractions runs scaled
 to ints by the lcm of its denominators, while that lcm has at most
 ``_SCALE_BITS`` bits; the walk reads the same scaled table, and only
 the reported values are divided back.
@@ -47,16 +49,21 @@ def _dp(w, below=None, below_count=None, counting=False, lowest=0, split=None):
     ``best[s]`` is the larger of ``w[s]`` and the best split of ``s``: the
     largest ``w[t] + rest[s ^ t]`` over proper blocks ``t`` of ``s``
     holding its least element, where ``rest`` is ``below`` (one block
-    fewer) or, unbounded, ``best`` itself.  On a tie ``w[s]`` wins, and
-    among splits the first block reached.  With ``counting``, ``count[s]``
+    fewer) or, unbounded, ``best`` itself.  With ``counting``, ``count[s]``
     is how many groupings reach ``best[s]``.  A ``split`` list receives
-    each best split (``-inf`` for one player).
+    each best split (``-inf`` for one player).  The pass keeps values, not
+    the blocks that reach them: :func:`_tie_walk` finds the witnesses.
 
     Sets run by lowest bit, from the highest down: every set ``s ^ t``
     read has a higher lowest bit than ``s``.  Within one lowest bit
-    ``low``, ``w[low:]`` is indexed by the block's other members, so a
-    step is one add and one compare.  Sets whose lowest bit is below
-    ``lowest`` are skipped, except the full set.  About 3**b/2 steps.
+    ``low``, ``w[low:]`` is indexed by the block's other members.  Where
+    a set can hold five players above ``low``, the plain pass reads the
+    two highest players' candidates together: a set holding ``h`` of them
+    and other members ``r`` enumerates the submasks ``t`` of ``r`` once,
+    and each ``t`` gives the 1, 2 or 4 candidates that put a part of ``h``
+    in the block, read from copies of ``w[low:]`` and ``rest`` shifted by
+    that part.  Sets whose lowest bit is below ``lowest`` are skipped,
+    except the full set.  About 3**b/2 candidates.
     """
     size = len(w)
     best: "list[Value]" = [0] * size
@@ -66,21 +73,60 @@ def _dp(w, below=None, below_count=None, counting=False, lowest=0, split=None):
     spans = [(1 << i, range(0, size, 2 << i)) for i in range(size.bit_length() - 2, lowest - 1, -1)]
     if lowest:
         spans.append((1, (size - 2,)))  # the full set
+    mid, hi = size >> 2, size >> 1  # the two highest players
     for low, rests in spans:
         wl = w[low:]
+        # A layer whose sets hold fewer than five players above low loses
+        # more to the copies than the paired steps save.
+        top = mid | hi if count is None and low < size >> 5 else 0
+        if top:
+            # Shifted copies: wm[t] is wl[mid | t], bm[u] is rest_best[mid | u].
+            wm, wh, wt = wl[mid:], wl[hi:], wl[top:]
+            bm, bh, bt = rest_best[mid:], rest_best[hi:], rest_best[top:]
         for rest in rests:
             s = low | rest
             b = wl[rest]
             sp = _NO_SPLIT
-            t = rest
             if count is None:
-                while t:
-                    t = (t - 1) & rest
-                    cand = wl[t] + rest_best[rest ^ t]
-                    if cand > sp:
-                        sp = cand
+                h = rest & top
+                r = t = rest ^ h
+                if not h:
+                    while t:
+                        t = (t - 1) & r
+                        cand = wl[t] + rest_best[r ^ t]
+                        if cand > sp:
+                            sp = cand
+                elif h != top:
+                    wa, ba = (wm, bm) if h == mid else (wh, bh)
+                    sp = wl[r] + ba[0]  # t = r: every block but the whole set
+                    while t:
+                        t = (t - 1) & r
+                        u = r ^ t
+                        cand = wl[t] + ba[u]
+                        if cand > sp:
+                            sp = cand
+                        cand = wa[t] + rest_best[u]
+                        if cand > sp:
+                            sp = cand
+                else:
+                    sp = max(wl[r] + bt[0], wm[r] + bh[0], wh[r] + bm[0])  # t = r, likewise
+                    while t:
+                        t = (t - 1) & r
+                        u = r ^ t
+                        cand = wl[t] + bt[u]
+                        if cand > sp:
+                            sp = cand
+                        cand = wm[t] + bh[u]
+                        if cand > sp:
+                            sp = cand
+                        cand = wh[t] + bm[u]
+                        if cand > sp:
+                            sp = cand
+                        cand = wt[t] + rest_best[u]
+                        if cand > sp:
+                            sp = cand
             else:
-                c = 0
+                t, c = rest, 0
                 while t:
                     t = (t - 1) & rest
                     r = rest ^ t

@@ -207,6 +207,83 @@ class TestBoundedCells:
         assert _dp([0, 5, 7, 9])[0] == [0, 5, 7, 12]
 
 
+def _reference_dp(w, below=None, below_count=None, counting=False, lowest=0):
+    """The recurrence one candidate at a time, sets in increasing order:
+    ``(best, count, split)`` as :func:`_dp` should leave them, with
+    ``None`` in ``split`` for a set the pass does not visit."""
+    size = len(w)
+    best = [0] * size
+    count = [1] * size if counting else None
+    split = [None] * size
+    rest_best = best if below is None else below
+    rest_count = count if below_count is None else below_count
+    for s in range(1, size):
+        low = s & -s
+        if low < 1 << lowest and s != size - 1:
+            continue
+        sp, c = float("-inf"), 0
+        for t in range(low, s, low):  # blocks holding low, other than s
+            if t & s != t or not t & low:
+                continue
+            cand = w[t] + rest_best[s ^ t]
+            if cand > sp:
+                sp, c = cand, rest_count[s ^ t] if counting else 0
+            elif cand == sp and counting:
+                c += rest_count[s ^ t]
+        if counting and w[s] <= sp:
+            count[s] = c + 1 if w[s] == sp else c
+        best[s] = w[s] if w[s] >= sp else sp
+        split[s] = sp
+    return best, count, split
+
+
+def _kernel_table(n, kind):
+    rng = random.Random(f"kernel|{kind}|{n}")
+    draw = {
+        "int": lambda: rng.randint(0, 100),
+        "fraction": lambda: Fraction(rng.randint(0, 60), rng.randint(1, 6)),
+        "tie": lambda: rng.randint(0, 2),
+        "negative": lambda: rng.randint(-40, 10),
+    }[kind]
+    return [0] + [draw() for _ in range((1 << n) - 1)]
+
+
+class TestDpKernel:
+    """``_dp`` against a recurrence that reads one candidate per step: the
+    plain pass reads the two highest players' candidates together, which
+    must leave every table as the reference leaves it."""
+
+    @staticmethod
+    def _same(w, *args):
+        split = [None] * len(w)
+        best, count = _dp(w, *args, split=split)
+        assert (best, count, split) == _reference_dp(w, *args)
+        return best, count
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "negative"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_unbounded_and_every_budget(self, n, kind):
+        w = _kernel_table(n, kind)
+        for counting in (False, True):
+            self._same(w, None, None, counting)
+            below = (w, [1] * len(w) if counting else None)
+            for _ in range(2, n + 1):  # budget j: its top pass, then its layer
+                self._same(w, *below, counting, n)
+                below = self._same(w, *below, counting, 1)
+
+    def test_twelve_players_pinned(self):
+        # The digest of the tables a one-candidate step leaves on this input.
+        import hashlib
+
+        w = _kernel_table(12, "int")
+        split = [None] * len(w)
+        best, _ = _dp(w, split=split)
+        layer, _ = _dp(w, w, lowest=1)
+        top, _ = _dp(w, layer, lowest=12)
+        got = hashlib.sha256(repr((best, split, layer, top)).encode()).hexdigest()
+        assert got == "c902750950941203d99ab72e99c5d5b2589d212dae16beab9dc0beaab2905e84"
+
+
 class TestAllMaximizers:
     def test_two_way_tie_frozen(self):
         # the trap example has two welfare maximizers, both at 5: splitting
