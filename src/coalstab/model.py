@@ -367,16 +367,20 @@ class Game:
     table-backed game is given that list; a rule-backed game holds a
     callable on masks and builds the list from it on its first value read,
     once, under a lock, so concurrent reads are safe and deterministic.
-    Treat instances as immutable; the only internal mutation is caching;
-    the solver caches are written without a lock, as racing writers store
-    equal results.  ``family``/``params`` carry optional provenance used by
-    the file format to round-trip generated games.
+    Treat instances as immutable; the only internal mutation is caching.
+    The solver keeps two caches: ``_dp``, one entry per block budget
+    holding the optimum and, after a tie-counting pass, its tables; and
+    ``_split``, the unbounded pass's split table.  They are written
+    without a lock, as racing writers store equal results and a result
+    without tables never replaces one with them.  ``family``/``params``
+    carry optional provenance used by the file format to round-trip
+    generated games.
     """
 
     __slots__ = (
         "n", "full_mask", "family", "params",
         "_table", "_rule", "_lock",
-        "_opt", "_bounded", "_ties", "_split",
+        "_dp", "_split",
     )
 
     def __init__(
@@ -398,9 +402,7 @@ class Game:
         self._table = table
         self._rule = rule
         self._lock = threading.Lock() if rule is not None else None
-        self._opt = None
-        self._bounded: dict[int, object] = {}
-        self._ties: dict[int, tuple] = {}
+        self._dp: dict[int, tuple] = {}
         self._split: "list[Value] | None" = None
 
     @classmethod

@@ -53,6 +53,7 @@ def _dp(w, below=None, below_count=None, counting=False, lowest=0, split=None):
     is how many groupings reach ``best[s]``.  A ``split`` list receives
     each best split (``-inf`` for one player).  The pass keeps values, not
     the blocks that reach them: :func:`_tie_walk` finds the witnesses.
+    :func:`_pass` runs it on a game's table and caches what it gives.
 
     Sets run by lowest bit, from the highest down: every set ``s ^ t``
     read has a higher lowest bit than ``s``.  Within one lowest bit
@@ -250,21 +251,55 @@ def _rgs_key(n: int):
     return lambda q: sum(j * digits[m] for j, m in enumerate(q))
 
 
-def _full_dp(g: Game, counting: bool):
-    """The unbounded DP over the game's table, as :func:`_int_table`
-    gives it.  Leaves the optimum on the game, and the split table on the
-    game's scale once it is whole.  Returns the table the DP ran on and
-    its ``best`` and ``count`` tables, stacked by block budget as
-    :func:`_tie_walk` reads them: unbounded, every budget is the same."""
+def _pass(g: Game, k: int, counting: bool = False):
+    """The game's cache entry for block budget ``k``, filled by one DP
+    pass if it is missing, or if ``counting`` asks for tables it lacks.
+
+    ``g._dp`` maps a budget to ``(OptResult, tables)``.  ``tables`` is
+    the table the DP ran on (as :func:`_int_table` gives it) and its
+    ``best`` and ``count`` tables stacked by budget, as :func:`_tie_walk`
+    reads them, after a counting pass; ``None`` after a plain one, which
+    keeps only the result.
+
+    At ``k = n`` the budget binds nothing: the pass is the unbounded one,
+    its tables serve every budget of the stack, and it leaves the split
+    table on the game's scale once it is whole.  Below ``n`` the pass is
+    layered.  Budget 1 is the value table itself and budget k covers the
+    full mask only.  Budgets 2 .. k-1 cover the full mask and the masks
+    without player 1, whose lowest bit is 1 or higher: a budget-j
+    grouping of the full mask leaves, after player 1's block, a set
+    without player 1, and so does every read below it.  About
+    (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  It caches the result of every
+    budget up to ``k`` not yet cached; only budget ``k`` keeps tables.
+
+    Racing writers store equal results, and a plain result never
+    replaces an entry that holds tables, so the cache needs no lock.
+    """
+    entry = g._dp.get(k)
+    if entry is not None and (entry[1] is not None or not counting):
+        return entry
     w, scale = _int_table(g.dense_table())
-    split: "list[Value]" = [0] * len(w)
-    best, count = _dp(w, counting=counting, split=split)
-    g._split = split if scale is None else [_unscale(x, scale) for x in split]
-    n = g.n
-    best, count = [best] * (n + 1), [count] * (n + 1)
-    witness = next(_tie_walk(w, best, None, n, g.full_mask))
-    g._opt = OptResult(_unscale(best[n][-1], scale), _from_masks(Partition, witness))
-    return w, best, count
+    full, n = g.full_mask, g.n
+    if k == n:
+        split: "list[Value]" = [0] * len(w)
+        best, count = _dp(w, counting=counting, split=split)
+        g._split = split if scale is None else [_unscale(x, scale) for x in split]
+        best, count, budgets = [best] * (n + 1), [count] * (n + 1), (n,)
+    else:
+        best, count = [None, w], [None, [1] * (full + 1) if counting else None]
+        for j in range(2, k + 1):
+            layer = _dp(w, best[-1], count[-1], counting, n if j == k else 1)
+            best.append(layer[0])
+            count.append(layer[1])
+        budgets = range(1, k + 1)
+    for j in budgets:
+        if j not in g._dp:
+            witness = next(_tie_walk(w, best, None, j, full))
+            res = OptResult(_unscale(best[j][full], scale), _from_masks(Partition, witness))
+            g._dp.setdefault(j, (res, None))
+    if counting:
+        g._dp[k] = (g._dp[k][0], (w, best, count))
+    return g._dp[k]
 
 
 def optimal_partition(g: Game) -> OptResult:
@@ -274,10 +309,8 @@ def optimal_partition(g: Game) -> OptResult:
     block with the smallest bit pattern.  The result is cached on the game,
     and so is the DP's split table, which the stability scans read.
     """
-    if g._opt is None:
-        _check_cap(g.n, SOLVER_CAP, "solver")
-        _full_dp(g, False)
-    return g._opt  # type: ignore[return-value]
+    _check_cap(g.n, SOLVER_CAP, "solver")
+    return _pass(g, g.n)[0]
 
 
 def optimal_partition_bounded(g: Game, k: int) -> OptResult:
@@ -291,11 +324,7 @@ def optimal_partition_bounded(g: Game, k: int) -> OptResult:
     ``k`` are cached on the game.
     """
     _check_budget(g, k)
-    if k == g.n:
-        return optimal_partition(g)
-    if k not in g._bounded:
-        _bounded(g, k)
-    return g._bounded[k]  # type: ignore[return-value]
+    return _pass(g, k)[0]
 
 
 def _check_budget(g: Game, k: int) -> None:
@@ -313,51 +342,16 @@ def _check_budget(g: Game, k: int) -> None:
         _check_cap(n, BOUNDED_SOLVER_CAP, "bounded solver")
 
 
-def _bounded(g: Game, k: int, counting: bool = False):
-    """The layered DP for an already validated budget ``k``.
-
-    Budget 1 is the value table itself and budget k covers the full mask
-    only.  Budgets 2 .. k-1 cover the full mask and the masks without
-    player 1, whose lowest bit is 1 or higher: a budget-j grouping of the
-    full mask leaves, after player 1's block, a set without player 1, and
-    so does every read below it.  About (k-2)·3**(n-1)/2 + k·2**(n-1)
-    steps, on the table scaled to ints as :func:`_int_table` does.  Caches
-    the optimum of every budget up to ``k``.  Returns the table the DP ran
-    on and its ``best`` and ``count`` tables by budget (``count`` only
-    with ``counting``).
-    """
-    w, scale = _int_table(g.dense_table())
-    full = g.full_mask
-    best, count = [None, w], [None, [1] * (full + 1) if counting else None]
-    for j in range(2, k + 1):
-        layer = _dp(w, best[-1], count[-1], counting, g.n if j == k else 1)
-        best.append(layer[0])
-        count.append(layer[1])
-    for j in range(1, k + 1):
-        if j not in g._bounded:
-            witness = next(_tie_walk(w, best, None, j, full))
-            g._bounded[j] = OptResult(_unscale(best[j][full], scale), _from_masks(Partition, witness))
-    return w, best, count
-
-
 def _ties(g: Game, k: int):
     """How many partitions of at most ``k`` blocks reach the k-block
     optimum, and a fresh lazy walk over them as block tuples.
 
-    One counting pass per budget, its tables cached on the game: the
-    unbounded DP at ``k = n``, whose optimum is also the budget-n one, and
-    the layered DP below.  A walk can reach Bell(n) groupings, so this
-    refuses past the partition enumeration cap before reading the table.
+    The counting pass's tables are cached per budget (see :func:`_pass`).
+    A walk can reach Bell(n) groupings, so this refuses past the
+    partition enumeration cap before reading the table.
     """
     _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
-    tables = g._ties.get(k)
-    if tables is None:
-        if k == g.n:
-            tables = _full_dp(g, True)
-        else:
-            tables = _bounded(g, k, True)
-        g._ties[k] = tables
-    w, best, count = tables
+    w, best, count = _pass(g, k, True)[1]
     return count[k][g.full_mask], _tie_walk(w, best, count, k, g.full_mask)
 
 

@@ -259,14 +259,10 @@ def check_dc_strict(g: Game, p: Partition) -> Verdict:
 
 
 def check_dp(g: Game, p: Partition) -> Verdict:
-    """Is ``p`` a social-welfare maximizer among all partitions?"""
-    _check_partition(g, p)
-    v = g.dense_table()
-    swp = _welfare(v, p.masks)
-    res = optimal_partition(g)
-    if swp == res.optimum:
-        return STABLE
-    return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
+    """Is ``p`` a social-welfare maximizer among all partitions?  This is
+    :func:`check_dp_k` at ``k = n``, where the budget binds nothing and
+    the unbounded solver answers, behind its cap."""
+    return check_dp_k(g, p, g.n)
 
 
 def check_strict_dp(g: Game, p: Partition) -> Verdict:
@@ -303,9 +299,8 @@ def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
     """Is ``p`` welfare-maximal among partitions with at most ``k`` blocks?"""
     _check_partition(g, p)
     _validate_bound(g, p, k)
-    v = g.dense_table()
-    swp = _welfare(v, p.masks)
     res = optimal_partition_bounded(g, k)
+    swp = _welfare(g.dense_table(), p.masks)
     if swp == res.optimum:
         return STABLE
     return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))

@@ -22,6 +22,8 @@ from coalstab import (
     applicable_rules,
     check_definitional,
     check_dhp,
+    check_dp,
+    check_dp_k,
     check_dp_k_strict,
     check_strict_dp,
     closure_outcomes,
@@ -118,11 +120,13 @@ def test_entry_point_runs_at_its_cap(call):
         lambda g: check_definitional(g, Partition.grand(g.n), "dp"),
         lambda g: check_dhp(g, Partition.grand(g.n)),
         lambda g: check_strict_dp(g, Partition.grand(g.n)),
+        lambda g: check_dp(g, Partition.grand(g.n)),
+        lambda g: check_dp_k(g, Partition.grand(g.n), 2),
         lambda g: applicable_rules(g, Partition.grand(g.n), ["split"]),
         lambda g: is_closed(g, Partition.grand(g.n), ["split"]),
     ],
     ids=[
-        "definitional_dc", "definitional_dp", "dhp_split", "strict_dp",
+        "definitional_dc", "definitional_dp", "dhp_split", "strict_dp", "dp", "dp_k",
         "applicable_rules_split", "is_closed_split",
     ],
 )

@@ -23,6 +23,8 @@ from coalstab import (
     check_dc,
     check_dc_strict,
     check_dhp,
+    check_dp,
+    check_dp_k,
     check_dp_k_strict,
     check_strict_dhp,
     check_strict_dp,
@@ -36,8 +38,8 @@ from coalstab import (
     random_game,
     social_welfare,
 )
-from coalstab.solver import _bounded, _dp, _tie_walk
-from conftest import brute_force_optimum
+from coalstab.solver import _dp, _pass, _tie_walk
+from conftest import brute_force_optimum, count_dp_calls
 
 
 class TestOptimalPartition:
@@ -161,21 +163,24 @@ class TestBoundedCells:
             groupings = [q.masks for q in enumerate_partitions(n)]
             for k in range(1, n + 1):
                 g = Game(n, table=list(v))
-                w, layers, counts = _bounded(g, k, counting=True)
+                w, layers, counts = _pass(g, k, True)[1]
                 count, walk = counts[k][-1], _tie_walk(w, layers, counts, k, (1 << n) - 1)
-                for j in range(1, k + 1):
+                # Below n the layered pass answers every budget up to k; at
+                # n the unbounded pass answers budget n alone.
+                assert sorted(g._dp) == (list(range(1, k + 1)) if k < n else [n])
+                for j in sorted(g._dp):
                     fits = [q for q in groupings if len(q) <= j]
                     best = max(sum(v[m] for m in q) for q in fits)
                     # The tie walk takes smaller blocks first: in block-tuple order.
                     tied = sorted(q for q in fits if sum(v[m] for m in q) == best)
-                    res = g._bounded[j]
+                    res = g._dp[j][0]
                     assert res.optimum == best
                     assert res.witness.masks == tied[0]
                     if j == k:
                         assert count == len(tied)
                         assert list(walk) == tied
                 fresh = Game(n, table=list(v))
-                assert optimal_partition_bounded(fresh, k) == g._bounded[k]
+                assert optimal_partition_bounded(fresh, k) == g._dp[k][0]
 
     @pytest.mark.parametrize("counting", [False, True])
     @pytest.mark.parametrize("n,k", [(2, 2), (5, 3), (7, 2), (7, 5), (7, 7)])
@@ -193,7 +198,11 @@ class TestBoundedCells:
             return got
 
         monkeypatch.setattr(solver, "_dp", spy)
-        _bounded(Game(n, table=_tie_table(n, "int", 0)), k, counting)
+        _pass(Game(n, table=_tie_table(n, "int", 0)), k, counting)
+        if k == n:
+            # The budget binds nothing: one unbounded pass over every set.
+            assert layers == [list(range(1, full + 1))]
+            return
         without_player_1 = sorted([*range(2, full, 2), full])
         assert len(without_player_1) == 1 << (n - 1)
         assert layers == [without_player_1] * (k - 2) + [[full]]
@@ -205,6 +214,96 @@ class TestBoundedCells:
         assert _dp([0, 5, 7, 9], [0, 5, 7, 9], lowest=2, split=split)[0] == [0, 0, 0, 12]
         assert split == [None, None, None, 12]
         assert _dp([0, 5, 7, 9])[0] == [0, 5, 7, 12]
+
+
+class TestBudgetCache:
+    """One cache entry per block budget: a plain pass keeps only its
+    result, a counting request on a plain entry runs the pass again, and
+    every answer is the one a fresh game gives."""
+
+    n = 7
+
+    @pytest.mark.parametrize(
+        "calls,passes",
+        [
+            (
+                [
+                    lambda g, p: optimal_partition(g),
+                    lambda g, p: all_maximizers(g),
+                    lambda g, p: optimal_partition(g),
+                ],
+                [1, 1, 0],
+            ),
+            (
+                [
+                    lambda g, p: check_dp_k_strict(g, p, 5),
+                    lambda g, p: optimal_partition_bounded(g, 3),
+                    lambda g, p: check_dp_k_strict(g, p, 3),
+                ],
+                [4, 0, 2],
+            ),
+            (
+                [
+                    lambda g, p: optimal_partition_bounded(g, 3),
+                    lambda g, p: check_dp_k_strict(g, p, 3),
+                    lambda g, p: optimal_partition_bounded(g, 2),
+                ],
+                [2, 2, 0],
+            ),
+            (
+                [
+                    lambda g, p: check_dhp(g, p),
+                    lambda g, p: check_dp(g, p),
+                    lambda g, p: check_strict_dp(g, p),
+                    lambda g, p: check_dp_k(g, p, g.n),
+                ],
+                [1, 0, 1, 0],
+            ),
+        ],
+        ids=["unbounded_then_ties", "ties_then_plain_below", "plain_then_ties", "grand_checks"],
+    )
+    def test_passes_per_call(self, calls, passes, monkeypatch):
+        v = _tie_table(self.n, "int", 0)
+        g, grand = Game(self.n, table=list(v)), Partition.grand(self.n)
+        dp_calls = count_dp_calls(monkeypatch)
+        got = []
+        for call in calls:
+            dp_calls.clear()
+            result = call(g, grand)
+            got.append(len(dp_calls))
+            assert result == call(Game(self.n, table=list(v)), grand)
+        assert got == passes
+
+    def test_plain_entries_keep_no_tables(self):
+        g = Game(self.n, table=_tie_table(self.n, "int", 0))
+        optimal_partition(g)
+        optimal_partition_bounded(g, 4)
+        assert sorted(g._dp) == [1, 2, 3, 4, self.n]
+        assert all(tables is None for _, tables in g._dp.values())
+        all_maximizers(g)
+        optimal_partition(g)
+        assert g._dp[self.n][1] is not None
+
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_plain_writer_keeps_a_racing_counters_tables(self, k, monkeypatch):
+        # A counting pass of the same budget stores its tables while a
+        # plain pass builds its witness; the plain pass, storing last, must
+        # not drop them.
+        import coalstab.solver as solver
+
+        v = _tie_table(self.n, "int", 0)
+        g = Game(self.n, table=list(v))
+        optimal_partition_bounded(g, 2)  # so the one witness left to build is budget k's
+        build = solver._from_masks
+
+        def spy(*args):
+            monkeypatch.setattr(solver, "_from_masks", build)
+            _pass(g, k, True)
+            return build(*args)
+
+        monkeypatch.setattr(solver, "_from_masks", spy)
+        assert optimal_partition_bounded(g, k) == optimal_partition_bounded(Game(self.n, table=list(v)), k)
+        assert g._dp[k][1] is not None
 
 
 def _reference_dp(w, below=None, below_count=None, counting=False, lowest=0):

@@ -177,12 +177,12 @@ def test_scans_on_a_fresh_game_build_no_table():
     is_superadditive(g, strict=True)
     corollary_shortcuts(g)
     assert g._split is None
-    assert g._opt is None
+    assert g._dp == {}
     for f in (check_dhp, check_strict_dhp):
         grand = Game(n, table=list(v))
         f(grand, Partition.grand(n))
         assert grand._split is not None
-        assert grand._opt == optimal_partition(Game(n, table=list(v)))
+        assert grand._dp[n][0] == optimal_partition(Game(n, table=list(v)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -224,7 +224,7 @@ def test_grand_block_over_the_split_cap_runs_no_solver(check):
     g = Game.from_rule(n, lambda m: 0)
     with pytest.raises(CapExceededError, match=f"cap of {PARTITION_ENUM_CAP}$"):
         check(g, Partition.grand(n))
-    assert g._opt is None
+    assert g._dp == {}
     assert g._split is None
 
 
