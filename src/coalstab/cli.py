@@ -19,7 +19,7 @@ from typing import Sequence
 from .model import (
     CapExceededError, Game, Partition, _check_partition, _Coalitions, _from_masks, format_value, social_welfare
 )
-from .solver import _check_budget, _sorted_ties, optimal_partition, optimal_partition_bounded
+from .solver import _capped_ties, _check_budget, optimal_partition, optimal_partition_bounded
 from .gamefile import FAMILIES, ParseError, build_family, load_game, serialize_game
 
 # ``stability``, ``dynamics`` and ``games`` are imported inside the commands
@@ -201,7 +201,7 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
         # runs no DP; an answered one runs one, which leaves the optimum
         # the solve below reads.
         _check_budget(game, k)
-        maxi = _sorted_ties(game, k)
+        maxi = _capped_ties(game, k)
     res = optimal_partition_bounded(game, k)
     report = {
         "command": "solve",
@@ -214,7 +214,7 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
     if maxi is not None:
         coalitions = _Coalitions()
         report["maximizers"] = [str(_from_masks(Partition, q, coalitions)) for q in maxi]
-        report["maximizer_count"] = len(maxi)
+        report["maximizer_count"] = len(report["maximizers"])
     return 0, report
 
 

@@ -278,22 +278,17 @@ def _application(rule: RuleName, fields, gain: Value, coalitions: _Coalitions) -
     return Exchange(i, j, coalitions[u1], coalitions[u2], gain)
 
 
-def _iter_applications(
-    g: Game, pmasks: "tuple[int, ...]", rules: "tuple[RuleName, ...]"
-) -> Iterator[RuleApplication]:
-    """All strictly-gaining applications, in :func:`_edges` order, as
-    application objects, with one coalition table per scan."""
-    coalitions = _Coalitions()
-    for _, rule, fields, gain in _edges(g, pmasks, rules):
-        yield _application(rule, fields, gain, coalitions)
-
-
 def applicable_rules(
     g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT_RULES
 ) -> "list[RuleApplication]":
-    """All applications of the given rules that strictly gain welfare."""
+    """All applications of the given rules that strictly gain welfare, in
+    :func:`_edges` order, with one coalition table per scan."""
     _check_partition(g, p)
-    return list(_iter_applications(g, p.masks, _coerce_rules(rules)))
+    coalitions = _Coalitions()
+    return [
+        _application(rule, fields, gain, coalitions)
+        for _, rule, fields, gain in _edges(g, p.masks, _coerce_rules(rules))
+    ]
 
 
 def is_closed(g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT_RULES) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import lcm
 
 from .model import (
@@ -177,23 +178,31 @@ def _unscale(x, scale: "int | None") -> Value:
 
 def _tie_walk(w, best, count, j: int, s: int):
     """Every grouping of ``s`` into at most ``j`` blocks that reaches
-    ``best[j][s]``, as block tuples, least member first.
+    ``best[j][s]``, as block tuples, least member first, in enumeration
+    order.
 
     ``best`` and ``count`` are stacks of tables indexed by block budget.
-    The walk tries smaller blocks first; every tied branch completes, and
-    a node's scan stops once its branches add up to its count.  A node
-    whose one tied grouping is its whole set, the last block the scan
-    would reach, takes it without a scan.  Without counts it takes the
-    first tie only: the grouping whose blocks have the smallest bit
-    patterns.
+    A node places blocks by least member; its children are its tied first
+    blocks of the rest, found by a scan that stops once their branches add
+    up to the node's count, so every child completes.  A node whose one
+    tied grouping is its whole rest, the last block the scan would reach,
+    takes it without a scan.  The nodes run best first on a heap, keyed by
+    their restricted-growth string with every unplaced player given the
+    next label, read as a base-n number.  A child only raises the labels
+    of the players it leaves, so no key is below its parent's and the
+    groupings pop in enumeration order.  Without counts the walk keeps the
+    first tie of each node only: the grouping whose blocks have the
+    smallest bit patterns, and no key table.
     """
     ties: "dict[tuple[int, int], list[int]]" = {}
-
-    def walk(s: int, j: int):
-        if j == 1 or not s:
-            yield (s,) if s else ()
-            return
-        got = ties.get((j, s))
+    digits = _digits(len(w).bit_length() - 1) if count else None
+    heap = [(0, (), s, j)]
+    while heap:
+        key, blocks, s, j = heappop(heap)
+        if not s:
+            yield blocks
+            continue
+        got = [s] if j == 1 else ties.get((j, s))
         if got is None:
             got = ties[j, s] = []
             need, low, t = count[j][s] if count else 1, s & -s, 0
@@ -208,10 +217,19 @@ def _tie_walk(w, best, count, j: int, s: int):
                     need -= count[j - 1][s ^ tm] if count else 1
                 t = (t - rest) & rest
         for tm in got:
-            for tail in walk(s ^ tm, j - 1):
-                yield (tm,) + tail
+            heappush(heap, (key + digits[s ^ tm] if digits else 0, blocks + (tm,), s ^ tm, j - 1))
 
-    return walk(s, j)
+
+@lru_cache(maxsize=None)
+def _digits(n: int) -> "list[int]":
+    """Each mask's players as base-n digits, player 1 the leading one:
+    ``digits[m]`` is the sum of n**(n-1-p) over the players p in ``m``.
+    One table per n, kept: the counted walks read it on every call."""
+    digits = [0]
+    for p in range(n):
+        d = n ** (n - 1 - p)
+        digits += [x + d for x in digits]
+    return digits
 
 
 def _best_grouping(
@@ -236,19 +254,6 @@ def _best_grouping(
     b = top.bit_length()
     parts = next(_tie_walk(w, [best] * (b + 1), None, b, top))
     return _unscale(best[top], scale), tuple(expand[t] for t in parts)
-
-
-@lru_cache(maxsize=None)
-def _rgs_key(n: int):
-    """A sort key for block tuples, blocks least member first, that orders
-    them as enumeration does, by restricted-growth string: the string read
-    as a number in base n, player 1's block index the leading digit.  One
-    key per n, kept: the tie paths take it on every call."""
-    digits = [0]
-    for p in range(n):
-        d = n ** (n - 1 - p)
-        digits += [x + d for x in digits]
-    return lambda q: sum(j * digits[m] for j, m in enumerate(q))
 
 
 def _pass(g: Game, k: int, counting: bool = False):
@@ -355,16 +360,16 @@ def _ties(g: Game, k: int):
     return count[k][g.full_mask], _tie_walk(w, best, count, k, g.full_mask)
 
 
-def _sorted_ties(g: Game, k: int) -> "list[tuple[int, ...]]":
-    """The groupings :func:`_ties` walks, in enumeration order.  Refuses
-    past ``_LISTING_CAP`` of them before the walk starts."""
+def _capped_ties(g: Game, k: int):
+    """The walk :func:`_ties` gives, refused past ``_LISTING_CAP``
+    groupings before it starts."""
     count, walk = _ties(g, k)
     if count > _LISTING_CAP:
         raise CapExceededError(
             f"{count} maximizers exceed Bell({MAXIMIZER_CAP}) = {_LISTING_CAP},"
             f" the maximizer enumeration cap of {MAXIMIZER_CAP}"
         )
-    return sorted(walk, key=_rgs_key(g.n))
+    return walk
 
 
 def all_maximizers(g: Game) -> "list[Partition]":
@@ -377,4 +382,4 @@ def all_maximizers(g: Game) -> "list[Partition]":
     game, so a repeated call walks them again and runs no DP.
     """
     coalitions = _Coalitions()
-    return [_from_masks(Partition, q, coalitions) for q in _sorted_ties(g, g.n)]
+    return [_from_masks(Partition, q, coalitions) for q in _capped_ties(g, g.n)]

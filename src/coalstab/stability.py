@@ -53,7 +53,7 @@ from .model import (
     as_value,
 )
 from .solver import (
-    _best_grouping, _rgs_key, _sorted_ties, _ties, optimal_partition, optimal_partition_bounded
+    _best_grouping, _capped_ties, _ties, optimal_partition, optimal_partition_bounded
 )
 
 
@@ -267,16 +267,16 @@ def check_dp(g: Game, p: Partition) -> Verdict:
 
 def check_strict_dp(g: Game, p: Partition) -> Verdict:
     """Is ``p`` the unique social-welfare maximizer?  A tie-counting DP,
-    O(3**n), and a walk over the maximizers; the partition enumeration
-    cap applies."""
+    O(3**n), and a walk over the maximizers up to the first other than
+    ``p``; the partition enumeration cap applies."""
     _check_partition(g, p)
     return _rival(g, p, _ties(g, g.n)[1])
 
 
 def _rival(g: Game, p: Partition, tied) -> Verdict:
-    """Unstable against the first grouping of ``tied`` other than ``p`` in
-    enumeration order, stable when there is none."""
-    rival = min((q for q in tied if q != p.masks), key=_rgs_key(g.n), default=None)
+    """Unstable against the first grouping of ``tied`` other than ``p``,
+    stable when there is none."""
+    rival = next((q for q in tied if q != p.masks), None)
     if rival is None:
         return STABLE
     v = g.dense_table()
@@ -560,10 +560,11 @@ def find_dc_stable(g: Game) -> "Partition | None":
     """A dc-stable partition if one exists, else None.
 
     Only welfare maximizers can be dc-stable, so the search space is the
-    list :func:`all_maximizers` gives (whose caps apply), vetted in its
-    order with the dc scan; only the partition returned is built.
+    list :func:`all_maximizers` gives (whose caps apply), vetted with the
+    dc scan as the walk yields it, up to the first dc-stable one; only
+    the partition returned is built.
     """
-    for q in _sorted_ties(g, g.n):
+    for q in _capped_ties(g, g.n):
         if _dc_scan(g, q, False).stable:
             return _from_masks(Partition, q)
     return None

@@ -4,6 +4,9 @@ PASS/FAIL line per acceptance criterion."""
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 try:
@@ -41,6 +44,19 @@ def bell(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
+
+
+def tie_table(n: int, kind: str, seed: int) -> list:
+    """A small-valued table of ``kind`` int, Fraction or mixed-sign, so
+    that optima tie often at every block budget."""
+    rng = random.Random(f"{kind}|{n}|{seed}")
+    if kind == "int":
+        draw = lambda: rng.randint(0, 2)
+    elif kind == "fraction":
+        draw = lambda: Fraction(rng.randint(0, 4), rng.randint(1, 2))
+    else:
+        draw = lambda: rng.choice((-2, -1, 0, 1, Fraction(1, 2), 2))
+    return [0] + [draw() for _ in range((1 << n) - 1)]
 
 
 def count_dp_calls(monkeypatch):

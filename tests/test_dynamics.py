@@ -43,7 +43,7 @@ from coalstab import (
     step,
     trace_lines,
 )
-from coalstab.dynamics import _apply, _coerce_rules, _edges, _iter_applications
+from coalstab.dynamics import _apply, _coerce_rules, _edges
 
 EXA_1 = example_game("exa-1")
 EXA_MISS = example_game("exa-miss")
@@ -160,7 +160,7 @@ class TestEdges:
                 rules = _coerce_rules(rules)
                 cuts = {}
                 for p in starts:
-                    expect = [_apply(p.masks, a) for a in _iter_applications(g, p.masks, rules)]
+                    expect = [_apply(p.masks, a) for a in applicable_rules(g, p, rules)]
                     for table in (None, cuts):
                         assert [e[0] for e in _edges(g, p.masks, rules, table)] == expect
 

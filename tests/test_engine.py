@@ -3,6 +3,9 @@ maximizer lists, strict dpk checks, the dhp split scan and the CLI's
 bounded maximizer list, each held to plain enumeration at 6-8 players,
 where ties are plentiful."""
 
+import contextlib
+import hashlib
+import io
 import json
 import random
 
@@ -19,14 +22,16 @@ from coalstab import (
     check_dhp,
     check_dp_k_strict,
     check_strict_dhp,
+    check_strict_dp,
     enumerate_partitions,
+    find_dc_stable,
     optimal_partition,
     optimal_partition_bounded,
     serialize_game,
     social_welfare,
 )
 from coalstab.cli import main
-from conftest import bell, witness_violates
+from conftest import bell, tie_table, witness_violates
 
 
 def tie_heavy(n, seed):
@@ -73,6 +78,18 @@ class TestWitnessTieBreak:
             best = min(q.masks for q in enumerated_maximizers(g, k))
             assert optimal_partition_bounded(g, k).witness.masks == best
 
+    def test_witness_walk_builds_no_key_table(self):
+        # Only the counted walks, capped at 12 players, order their output;
+        # the solver's witness walk, run up to 18, reads no key table.
+        import coalstab.solver as solver
+
+        before = solver._digits.cache_info()
+        g = tie_heavy(8, 0)
+        optimal_partition(g)
+        optimal_partition_bounded(g, 3)
+        after = solver._digits.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
 
 def some_partitions(g):
     rng = random.Random(g.n)
@@ -104,6 +121,44 @@ class TestDpkStrict:
         assert v.witness == DefectingCollection(Partition.grand(7), 0, 0)
         v = check_dp_k_strict(g, Partition.grand(7), 3)
         assert v.witness == DefectingCollection(Partition.parse("{1,2,3,4,5,6} {7}"), 0, 0)
+
+
+class TestTieWalkStopsEarly:
+    """The strict checks and the dc search read the tie walk in
+    enumeration order and stop at the grouping they need.  On an all-zero
+    game every partition ties and the grand partition comes first."""
+
+    def spy(self, monkeypatch):
+        import coalstab.solver as solver
+
+        drawn = []
+        walk = solver._tie_walk
+
+        def spy(*args):
+            for q in walk(*args):
+                drawn.append(q)
+                assert len(drawn) <= 10, "the walk ran on"
+                yield q
+
+        monkeypatch.setattr(solver, "_tie_walk", spy)
+        return drawn
+
+    def test_strict_checks_draw_two_groupings(self, monkeypatch):
+        g, grand = zero(12), Partition.grand(12)
+        optimal_partition(g)  # its witness walk is not counted below
+        drawn = self.spy(monkeypatch)
+        assert check_strict_dp(g, grand).witness.collection == Partition.of(range(1, 12), [12])
+        assert len(drawn) <= 2
+        drawn.clear()
+        assert not check_dp_k_strict(g, grand, 12).stable
+        assert len(drawn) <= 2
+
+    def test_dc_search_draws_one_grouping(self, monkeypatch):
+        g = zero(10)
+        optimal_partition(g)
+        drawn = self.spy(monkeypatch)
+        assert find_dc_stable(g) == Partition.grand(10)
+        assert len(drawn) == 1
 
 
 def big_block_partitions(n):
@@ -155,3 +210,47 @@ class TestCliBoundedMaximizers:
         expect = [str(q) for q in enumerated_maximizers(g, k)]
         assert out["maximizers"] == expect
         assert out["maximizer_count"] == len(expect)
+
+
+def tie_digest(tmp_path) -> str:
+    """sha256 over every answer the tie paths give on seeded tie-heavy
+    tables, n = 1..8: the dc search, the maximizer listing, both strict
+    checks at every budget for the grand partition, the singletons and
+    the first three maximizers (or the budget's refusal), the strict dhp
+    witness, and the CLI's bounded listing at every budget."""
+    h = hashlib.sha256()
+    doc = tmp_path / "g.game"
+    for kind in ("int", "fraction", "mixed"):
+        for n in range(1, 9):
+            for seed in range(8 if n <= 6 else 4):
+                v = tie_table(n, kind, seed)
+                out = [find_dc_stable(Game(n, table=list(v)))]
+                g = Game(n, table=list(v))
+                maxi = all_maximizers(g)
+                out.append([q.masks for q in maxi])
+                for p in [Partition.grand(n), Partition.singletons(n)] + maxi[:3]:
+                    out.append(check_strict_dp(g, p).witness)
+                    for k in range(1, n + 1):
+                        try:
+                            out.append(check_dp_k_strict(g, p, k).witness)
+                        except ValueError as e:
+                            out.append(str(e))
+                out.append(check_strict_dhp(g, Partition.grand(n)).witness)
+                doc.write_text(serialize_game(g))
+                for k in range(1, n + 1):
+                    with contextlib.redirect_stdout(io.StringIO()) as buf:
+                        code = main(["solve", "--game", str(doc), "--max-size", str(k), "--all-maximizers"])
+                    report = json.loads(buf.getvalue())
+                    del report["game"]  # the document's path
+                    out.append((code, report))
+                h.update(f"{kind} {n} {seed}: {out!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_tie_paths_match_the_sorted_walk(tmp_path):
+    assert tie_digest(tmp_path) == TIE_DIGEST
+
+
+# Captured with the walk in block-tuple order, sorted by restricted-growth
+# key for the listings and searched with ``min`` for the strict rivals.
+TIE_DIGEST = "52e428630f8bb31f13b31bde44b42a51be3e721155a120dadf435eeca39e8d9e"

@@ -39,7 +39,7 @@ from coalstab import (
     social_welfare,
 )
 from coalstab.solver import _dp, _pass, _tie_walk
-from conftest import brute_force_optimum, count_dp_calls
+from conftest import brute_force_optimum, count_dp_calls, tie_table
 
 
 class TestOptimalPartition:
@@ -137,19 +137,6 @@ class TestBoundedSolver:
             optimal_partition_bounded(g, 2)
 
 
-def _tie_table(n, kind, seed):
-    """A small-valued table of ``kind`` int, Fraction or mixed-sign, so
-    that bounded optima tie often."""
-    rng = random.Random(f"{kind}|{n}|{seed}")
-    if kind == "int":
-        draw = lambda: rng.randint(0, 2)
-    elif kind == "fraction":
-        draw = lambda: Fraction(rng.randint(0, 4), rng.randint(1, 2))
-    else:
-        draw = lambda: rng.choice((-2, -1, 0, 1, Fraction(1, 2), 2))
-    return [0] + [draw() for _ in range((1 << n) - 1)]
-
-
 class TestBoundedCells:
     """The layered DP runs budgets below k on the full set and the sets
     without player 1 only; every answer it gives must be the one plain
@@ -159,7 +146,7 @@ class TestBoundedCells:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_budget_matches_enumeration(self, n, kind):
         for seed in range(2 if n > 5 else 4):
-            v = _tie_table(n, kind, seed)
+            v = tie_table(n, kind, seed)
             groupings = [q.masks for q in enumerate_partitions(n)]
             for k in range(1, n + 1):
                 g = Game(n, table=list(v))
@@ -171,11 +158,12 @@ class TestBoundedCells:
                 for j in sorted(g._dp):
                     fits = [q for q in groupings if len(q) <= j]
                     best = max(sum(v[m] for m in q) for q in fits)
-                    # The tie walk takes smaller blocks first: in block-tuple order.
-                    tied = sorted(q for q in fits if sum(v[m] for m in q) == best)
+                    # Enumeration order, which the counted walk yields.
+                    tied = [q for q in fits if sum(v[m] for m in q) == best]
                     res = g._dp[j][0]
                     assert res.optimum == best
-                    assert res.witness.masks == tied[0]
+                    # The witness walk takes smaller blocks first.
+                    assert res.witness.masks == min(tied)
                     if j == k:
                         assert count == len(tied)
                         assert list(walk) == tied
@@ -198,7 +186,7 @@ class TestBoundedCells:
             return got
 
         monkeypatch.setattr(solver, "_dp", spy)
-        _pass(Game(n, table=_tie_table(n, "int", 0)), k, counting)
+        _pass(Game(n, table=tie_table(n, "int", 0)), k, counting)
         if k == n:
             # The budget binds nothing: one unbounded pass over every set.
             assert layers == [list(range(1, full + 1))]
@@ -263,7 +251,7 @@ class TestBudgetCache:
         ids=["unbounded_then_ties", "ties_then_plain_below", "plain_then_ties", "grand_checks"],
     )
     def test_passes_per_call(self, calls, passes, monkeypatch):
-        v = _tie_table(self.n, "int", 0)
+        v = tie_table(self.n, "int", 0)
         g, grand = Game(self.n, table=list(v)), Partition.grand(self.n)
         dp_calls = count_dp_calls(monkeypatch)
         got = []
@@ -275,7 +263,7 @@ class TestBudgetCache:
         assert got == passes
 
     def test_plain_entries_keep_no_tables(self):
-        g = Game(self.n, table=_tie_table(self.n, "int", 0))
+        g = Game(self.n, table=tie_table(self.n, "int", 0))
         optimal_partition(g)
         optimal_partition_bounded(g, 4)
         assert sorted(g._dp) == [1, 2, 3, 4, self.n]
@@ -291,7 +279,7 @@ class TestBudgetCache:
         # not drop them.
         import coalstab.solver as solver
 
-        v = _tie_table(self.n, "int", 0)
+        v = tie_table(self.n, "int", 0)
         g = Game(self.n, table=list(v))
         optimal_partition_bounded(g, 2)  # so the one witness left to build is budget k's
         build = solver._from_masks
@@ -429,7 +417,7 @@ class TestAllMaximizers:
             return _dp(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_dp", spy)
-        g = Game(n, table=_tie_table(n, "int", 0))
+        g = Game(n, table=tie_table(n, "int", 0))
         grand = Partition.grand(n)
         counts = []
         for call in (
@@ -438,7 +426,7 @@ class TestAllMaximizers:
             lambda: check_strict_dp(g, grand),
             lambda: find_dc_stable(g),
             lambda: check_dp_k_strict(g, grand, n),
-            lambda: check_dp_k_strict(Game(n, table=_tie_table(n, "int", 0)), grand, n),
+            lambda: check_dp_k_strict(Game(n, table=tie_table(n, "int", 0)), grand, n),
         ):
             passes.clear()
             call()
