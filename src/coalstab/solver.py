@@ -202,7 +202,7 @@ def _tie_walk(w, best, count, j: int, s: int):
         if not s:
             yield blocks
             continue
-        got = [s] if j == 1 else ties.get((j, s))
+        got = (s,) if j == 1 else ties.get((j, s))
         if got is None:
             got = ties[j, s] = []
             need, low, t = count[j][s] if count else 1, s & -s, 0
