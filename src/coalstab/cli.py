@@ -197,8 +197,8 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
     maxi = None
     if args.all_maximizers:
         # The budget and the solver's cap are checked first, and the
-        # listing's cap before its counting pass, so a refused listing
-        # runs no DP; an answered one runs one, which leaves the optimum
+        # listing's 12-player cap before the DP, so a listing refused by
+        # them runs none; the pass the listing runs caches the optimum
         # the solve below reads.
         _check_budget(game, k)
         maxi = _capped_ties(game, k)

@@ -369,10 +369,10 @@ class Game:
     once, under a lock, so concurrent reads are safe and deterministic.
     Treat instances as immutable; the only internal mutation is caching.
     The solver keeps two caches: ``_dp``, one entry per block budget
-    holding the optimum and, after a tie-counting pass, its tables; and
-    ``_split``, the unbounded pass's split table.  They are written
-    without a lock, as racing writers store equal results and a result
-    without tables never replaces one with them.  ``family``/``params``
+    holding the optimum and the tie-counting tables of the pass that
+    gave it; and ``_split``, the unbounded pass's split table.  They are
+    written without a lock, as racing writers store equal entries.
+    ``family``/``params``
     carry optional provenance used by the file format to round-trip
     generated games.
     """

@@ -3,13 +3,14 @@
 The best grouping of a player set S considers every block containing S's
 least player, so each partition is represented exactly once and a pass
 over every set costs O(3**n) (Yeh, BIT 1986).  Stacked by block budget the
-pass gives the bounded optimum; with tie counts, a walk over the tied
-choices lists every optimal partition at a cost that grows with the list.
+pass gives the bounded optimum; with its tie counts, a walk over the
+tied choices lists every optimal partition at a cost that grows with the
+list.
 
-The pass visits the sets by lowest bit, highest first.  Without tie
-counts it reads together the candidates that differ only in where the
-two highest players go: one submask of the other members gives up to
-four int adds and compares.  A table that holds Fractions runs scaled
+The pass visits the sets by lowest bit, highest first, and reads
+together the candidates that differ only in where the two highest
+players go: one submask of the other members gives up to four int adds
+and compares.  A table that holds Fractions runs scaled
 to ints by the lcm of its denominators, while that lcm has at most
 ``_SCALE_BITS`` bits; the walk reads the same scaled table, and only
 the reported values are divided back.
@@ -44,32 +45,38 @@ class OptResult:
     witness: Partition
 
 
-def _dp(w, below=None, below_count=None, counting=False, lowest=0, split=None):
+def _dp(w, below=None, below_count=None, lowest=0, split=None):
     """One pass of the recurrence over the 2**b values ``w``.
 
     ``best[s]`` is the larger of ``w[s]`` and the best split of ``s``: the
     largest ``w[t] + rest[s ^ t]`` over proper blocks ``t`` of ``s``
     holding its least element, where ``rest`` is ``below`` (one block
-    fewer) or, unbounded, ``best`` itself.  With ``counting``, ``count[s]``
-    is how many groupings reach ``best[s]``.  A ``split`` list receives
-    each best split (``-inf`` for one player).  The pass keeps values, not
-    the blocks that reach them: :func:`_tie_walk` finds the witnesses.
-    :func:`_pass` runs it on a game's table and caches what it gives.
+    fewer) or, unbounded, ``best`` itself; ``count[s]`` is how many
+    groupings reach ``best[s]``, where ``below_count`` counts the rest's.
+    A ``split`` list receives each best split (``-inf`` for one player).
+    The pass keeps values and counts, not the blocks that reach them:
+    :func:`_tie_walk` finds the witnesses.  :func:`_pass` runs it on a
+    game's table and caches what it gives.
 
     Sets run by lowest bit, from the highest down: every set ``s ^ t``
     read has a higher lowest bit than ``s``.  Within one lowest bit
     ``low``, ``w[low:]`` is indexed by the block's other members.  Where
-    a set can hold five players above ``low``, the plain pass reads the
-    two highest players' candidates together: a set holding ``h`` of them
-    and other members ``r`` enumerates the submasks ``t`` of ``r`` once,
-    and each ``t`` gives the 1, 2 or 4 candidates that put a part of ``h``
-    in the block, read from copies of ``w[low:]`` and ``rest`` shifted by
-    that part.  Sets whose lowest bit is below ``lowest`` are skipped,
-    except the full set.  About 3**b/2 candidates.
+    a set can hold five players above ``low``, the pass reads the two
+    highest players' candidates together: a set holding ``h`` of them and
+    other members ``r`` enumerates the submasks ``u`` of ``r`` once, and
+    each ``u`` gives the 1, 2 or 4 candidates that leave it and a part of
+    ``h`` to the rest, read from copies of ``w[low:]``, ``rest`` and its
+    counts shifted by that part.  A candidate that reaches the best split
+    so far adds its rest's count, one that passes it starts the count
+    again.  The rests run from the largest down: where best values tend
+    to grow with the set, as on tables with no negative value, the best
+    split comes early and few candidates pass it.  Sets whose lowest bit
+    is below ``lowest`` are skipped, except the full set.  About 3**b/2
+    candidates.
     """
     size = len(w)
     best: "list[Value]" = [0] * size
-    count = [1] * size if counting else None
+    count = [1] * size
     rest_best = best if below is None else below
     rest_count = count if below_count is None else below_count
     spans = [(1 << i, range(0, size, 2 << i)) for i in range(size.bit_length() - 2, lowest - 1, -1)]
@@ -80,67 +87,63 @@ def _dp(w, below=None, below_count=None, counting=False, lowest=0, split=None):
         wl = w[low:]
         # A layer whose sets hold fewer than five players above low loses
         # more to the copies than the paired steps save.
-        top = mid | hi if count is None and low < size >> 5 else 0
+        top = mid | hi if low < size >> 5 else 0
         if top:
-            # Shifted copies: wm[t] is wl[mid | t], bm[u] is rest_best[mid | u].
+            # Shifted copies: wm[t] is wl[mid | t], bm[u] is rest_best[mid | u],
+            # cm[u] is rest_count[mid | u].
             wm, wh, wt = wl[mid:], wl[hi:], wl[top:]
             bm, bh, bt = rest_best[mid:], rest_best[hi:], rest_best[top:]
+            cm, ch, ct = rest_count[mid:], rest_count[hi:], rest_count[top:]
         for rest in rests:
-            s = low | rest
-            b = wl[rest]
-            sp = _NO_SPLIT
-            if count is None:
-                h = rest & top
-                r = t = rest ^ h
-                if not h:
-                    while t:
-                        t = (t - 1) & r
-                        cand = wl[t] + rest_best[r ^ t]
-                        if cand > sp:
-                            sp = cand
-                elif h != top:
-                    wa, ba = (wm, bm) if h == mid else (wh, bh)
-                    sp = wl[r] + ba[0]  # t = r: every block but the whole set
-                    while t:
-                        t = (t - 1) & r
-                        u = r ^ t
-                        cand = wl[t] + ba[u]
-                        if cand > sp:
-                            sp = cand
-                        cand = wa[t] + rest_best[u]
-                        if cand > sp:
-                            sp = cand
-                else:
-                    sp = max(wl[r] + bt[0], wm[r] + bh[0], wh[r] + bm[0])  # t = r, likewise
-                    while t:
-                        t = (t - 1) & r
-                        u = r ^ t
-                        cand = wl[t] + bt[u]
-                        if cand > sp:
-                            sp = cand
-                        cand = wm[t] + bh[u]
-                        if cand > sp:
-                            sp = cand
-                        cand = wh[t] + bm[u]
-                        if cand > sp:
-                            sp = cand
-                        cand = wt[t] + rest_best[u]
-                        if cand > sp:
-                            sp = cand
-            else:
-                t, c = rest, 0
-                while t:
-                    t = (t - 1) & rest
-                    r = rest ^ t
-                    cand = wl[t] + rest_best[r]
-                    if cand > sp:
+            h = rest & top
+            r = u = rest ^ h
+            if not h:
+                sp, c = _NO_SPLIT, 0
+                while u:
+                    cand = wl[r ^ u] + rest_best[u]
+                    if cand >= sp:
+                        c = c + rest_count[u] if cand == sp else rest_count[u]
                         sp = cand
-                        c = rest_count[r]
-                    elif cand == sp:
-                        c += rest_count[r]
-                if b <= sp:
-                    count[s] = c + 1 if b == sp else c
+                    u = (u - 1) & r
+            elif h != top:
+                wa, ba, ca = (wm, bm, cm) if h == mid else (wh, bh, ch)
+                sp, c = wl[r] + ba[0], ca[0]  # t = r: every block but the whole set
+                while u:
+                    t = r ^ u
+                    cand = wl[t] + ba[u]
+                    if cand >= sp:
+                        c = c + ca[u] if cand == sp else ca[u]
+                        sp = cand
+                    cand = wa[t] + rest_best[u]
+                    if cand >= sp:
+                        c = c + rest_count[u] if cand == sp else rest_count[u]
+                        sp = cand
+                    u = (u - 1) & r
+            else:
+                sp = max(x := wl[r] + bt[0], y := wm[r] + bh[0], z := wh[r] + bm[0])  # t = r, likewise
+                c = (x == sp) * ct[0] + (y == sp) * ch[0] + (z == sp) * cm[0]
+                while u:
+                    t = r ^ u
+                    cand = wl[t] + bt[u]
+                    if cand >= sp:
+                        c = c + ct[u] if cand == sp else ct[u]
+                        sp = cand
+                    cand = wm[t] + bh[u]
+                    if cand >= sp:
+                        c = c + ch[u] if cand == sp else ch[u]
+                        sp = cand
+                    cand = wh[t] + bm[u]
+                    if cand >= sp:
+                        c = c + cm[u] if cand == sp else cm[u]
+                        sp = cand
+                    cand = wt[t] + rest_best[u]
+                    if cand >= sp:
+                        c = c + rest_count[u] if cand == sp else rest_count[u]
+                        sp = cand
+                    u = (u - 1) & r
+            s, b = low | rest, wl[rest]
             best[s] = b if b >= sp else sp
+            count[s] = 1 if b > sp else c + (b == sp)
             if split is not None:
                 split[s] = sp
     return best, count
@@ -256,15 +259,14 @@ def _best_grouping(
     return _unscale(best[top], scale), tuple(expand[t] for t in parts)
 
 
-def _pass(g: Game, k: int, counting: bool = False):
+def _pass(g: Game, k: int):
     """The game's cache entry for block budget ``k``, filled by one DP
-    pass if it is missing, or if ``counting`` asks for tables it lacks.
+    pass if it is missing.
 
     ``g._dp`` maps a budget to ``(OptResult, tables)``.  ``tables`` is
     the table the DP ran on (as :func:`_int_table` gives it) and its
     ``best`` and ``count`` tables stacked by budget, as :func:`_tie_walk`
-    reads them, after a counting pass; ``None`` after a plain one, which
-    keeps only the result.
+    reads them.
 
     At ``k = n`` the budget binds nothing: the pass is the unbounded one,
     its tables serve every budget of the stack, and it leaves the split
@@ -274,36 +276,39 @@ def _pass(g: Game, k: int, counting: bool = False):
     without player 1, whose lowest bit is 1 or higher: a budget-j
     grouping of the full mask leaves, after player 1's block, a set
     without player 1, and so does every read below it.  About
-    (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  It caches the result of every
-    budget up to ``k`` not yet cached; only budget ``k`` keeps tables.
+    (k-2)·3**(n-1)/2 + k·2**(n-1) steps.  The stack serves every budget
+    up to ``k``, so the pass caches each one not yet cached, tables
+    included; and it starts from the stack of the largest budget ``m``
+    cached up to ``k``, whose layers below ``m`` cover those sets, so
+    only the layers from ``m`` up run.
 
-    Racing writers store equal results, and a plain result never
-    replaces an entry that holds tables, so the cache needs no lock.
+    Racing writers store equal entries, so the cache needs no lock.
     """
     entry = g._dp.get(k)
-    if entry is not None and (entry[1] is not None or not counting):
+    if entry is not None:
         return entry
     w, scale = _int_table(g.dense_table())
     full, n = g.full_mask, g.n
     if k == n:
         split: "list[Value]" = [0] * len(w)
-        best, count = _dp(w, counting=counting, split=split)
+        best, count = _dp(w, split=split)
         g._split = split if scale is None else [_unscale(x, scale) for x in split]
-        best, count, budgets = [best] * (n + 1), [count] * (n + 1), (n,)
+        best, count = [best] * (n + 1), [count] * (n + 1)
     else:
-        best, count = [None, w], [None, [1] * (full + 1) if counting else None]
-        for j in range(2, k + 1):
-            layer = _dp(w, best[-1], count[-1], counting, n if j == k else 1)
+        # The stack of the largest budget cached, or budget 1's: its
+        # layers below that budget hold every set a layer reads.
+        m = max(j for j in (1, *g._dp) if j <= k)
+        _, (_, best, count) = g._dp.get(m, (None, (w, [None, w], [None, [1] * (full + 1)])))
+        best, count = best[:max(m, 2)], count[:max(m, 2)]
+        for j in range(len(best), k + 1):
+            layer = _dp(w, best[-1], count[-1], n if j == k else 1)
             best.append(layer[0])
             count.append(layer[1])
-        budgets = range(1, k + 1)
-    for j in budgets:
+    for j in range(1, k + 1) if k < n else (n,):
         if j not in g._dp:
             witness = next(_tie_walk(w, best, None, j, full))
             res = OptResult(_unscale(best[j][full], scale), _from_masks(Partition, witness))
-            g._dp.setdefault(j, (res, None))
-    if counting:
-        g._dp[k] = (g._dp[k][0], (w, best, count))
+            g._dp.setdefault(j, (res, (w, best, count)))
     return g._dp[k]
 
 
@@ -351,35 +356,42 @@ def _ties(g: Game, k: int):
     """How many partitions of at most ``k`` blocks reach the k-block
     optimum, and a fresh lazy walk over them as block tuples.
 
-    The counting pass's tables are cached per budget (see :func:`_pass`).
-    A walk can reach Bell(n) groupings, so this refuses past the
-    partition enumeration cap before reading the table.
+    Every cache entry holds its pass's tables (see :func:`_pass`), so
+    this runs a DP only when the budget has no entry.  A walk can reach
+    Bell(n) groupings, so this refuses past the partition enumeration cap
+    before reading the table.
     """
     _check_cap(g.n, PARTITION_ENUM_CAP, "partition enumeration")
-    w, best, count = _pass(g, k, True)[1]
+    w, best, count = _pass(g, k)[1]
     return count[k][g.full_mask], _tie_walk(w, best, count, k, g.full_mask)
+
+
+def _check_listing(count: int) -> None:
+    """Refuse ``count`` tied groupings past ``_LISTING_CAP``, the most
+    a listing holds or a search vets."""
+    if count > _LISTING_CAP:
+        raise CapExceededError(
+            f"{count} maximizers exceed Bell({MAXIMIZER_CAP}) = {_LISTING_CAP},"
+            f" the maximizer enumeration cap of {MAXIMIZER_CAP}"
+        )
 
 
 def _capped_ties(g: Game, k: int):
     """The walk :func:`_ties` gives, refused past ``_LISTING_CAP``
     groupings before it starts."""
     count, walk = _ties(g, k)
-    if count > _LISTING_CAP:
-        raise CapExceededError(
-            f"{count} maximizers exceed Bell({MAXIMIZER_CAP}) = {_LISTING_CAP},"
-            f" the maximizer enumeration cap of {MAXIMIZER_CAP}"
-        )
+    _check_listing(count)
     return walk
 
 
 def all_maximizers(g: Game) -> "list[Partition]":
     """Every partition achieving the optimum, in enumeration order.
 
-    A counting DP pass plus a walk over the tied choices: O(3**n) plus the
-    size of the output, which can reach Bell(n).  The partition
-    enumeration cap applies, and the list holds at most
-    Bell(``MAXIMIZER_CAP``) partitions.  The DP's tables are cached on the
-    game, so a repeated call walks them again and runs no DP.
+    The DP pass plus a walk over the tied choices: O(3**n) plus the size
+    of the output, which can reach Bell(n).  The partition enumeration
+    cap applies, and the list holds at most Bell(``MAXIMIZER_CAP``)
+    partitions.  The DP's tables are cached on the game, so a call after
+    :func:`optimal_partition` or another listing runs no DP.
     """
     coalitions = _Coalitions()
     return [_from_masks(Partition, q, coalitions) for q in _capped_ties(g, g.n)]

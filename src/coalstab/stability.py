@@ -33,6 +33,7 @@ The fast checks rest on exact characterizations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Union
 
 from .model import (
@@ -53,7 +54,7 @@ from .model import (
     as_value,
 )
 from .solver import (
-    _best_grouping, _capped_ties, _ties, optimal_partition, optimal_partition_bounded
+    _LISTING_CAP, _best_grouping, _check_listing, _ties, optimal_partition, optimal_partition_bounded
 )
 
 
@@ -559,12 +560,16 @@ def corollary_shortcuts(g: Game) -> CorollaryReport:
 def find_dc_stable(g: Game) -> "Partition | None":
     """A dc-stable partition if one exists, else None.
 
-    Only welfare maximizers can be dc-stable, so the search space is the
-    list :func:`all_maximizers` gives (whose caps apply), vetted with the
-    dc scan as the walk yields it, up to the first dc-stable one; only
-    the partition returned is built.
+    Only welfare maximizers can be dc-stable, so the search runs over the
+    walk :func:`all_maximizers` lists (whose partition enumeration cap
+    applies), vetting each maximizer with the dc scan as the walk yields
+    it, up to the first dc-stable one; only the partition returned is
+    built.  It vets at most Bell(``MAXIMIZER_CAP``) maximizers, as many as
+    a listing holds, and refuses when more are left.
     """
-    for q in _capped_ties(g, g.n):
+    count, walk = _ties(g, g.n)
+    for q in islice(walk, _LISTING_CAP):
         if _dc_scan(g, q, False).stable:
             return _from_masks(Partition, q)
+    _check_listing(count)  # none of those it may vet is dc-stable
     return None

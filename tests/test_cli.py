@@ -180,6 +180,14 @@ class TestFind:
             assert code == 1
             assert out["found"] is False and "partition" not in out
 
+    def test_dc_found_past_the_listing_cap(self, capsys, tmp_path):
+        # All Bell(12) partitions tie, more than a listing may hold, and
+        # the first the search vets, the grand partition, is dc-stable.
+        doc = tmp_path / "zero.game"
+        doc.write_text("representation: table\nn: 12\ndefault: 0\n")
+        code, out, _ = run_cli(capsys, "find", "--game", str(doc), "--notion", "dc")
+        assert code == 0 and out["partition"] == str(Partition.grand(12))
+
     def test_dp_always_found(self, capsys):
         code, out, _ = run_cli(capsys, "find", "--game", EXA_A, "--notion", "dp")
         assert code == 0 and out["partition"] == "{1} {2,3}"

@@ -150,7 +150,7 @@ class TestBoundedCells:
             groupings = [q.masks for q in enumerate_partitions(n)]
             for k in range(1, n + 1):
                 g = Game(n, table=list(v))
-                w, layers, counts = _pass(g, k, True)[1]
+                w, layers, counts = _pass(g, k)[1]
                 count, walk = counts[k][-1], _tie_walk(w, layers, counts, k, (1 << n) - 1)
                 # Below n the layered pass answers every budget up to k; at
                 # n the unbounded pass answers budget n alone.
@@ -170,23 +170,22 @@ class TestBoundedCells:
                 fresh = Game(n, table=list(v))
                 assert optimal_partition_bounded(fresh, k) == g._dp[k][0]
 
-    @pytest.mark.parametrize("counting", [False, True])
     @pytest.mark.parametrize("n,k", [(2, 2), (5, 3), (7, 2), (7, 5), (7, 7)])
-    def test_each_budget_below_k_visits_half_the_sets(self, n, k, counting, monkeypatch):
+    def test_each_budget_below_k_visits_half_the_sets(self, n, k, monkeypatch):
         import coalstab.solver as solver
 
         full = (1 << n) - 1
         layers = []
 
-        def spy(w, below=None, below_count=None, counting=False, lowest=0, split=None):
+        def spy(w, below=None, below_count=None, lowest=0, split=None):
             # A pass writes a set's split exactly when it visits the set.
             seen = [None] * len(w)
-            got = _dp(w, below, below_count, counting, lowest, seen)
+            got = _dp(w, below, below_count, lowest, seen)
             layers.append([s for s, x in enumerate(seen) if x is not None])
             return got
 
         monkeypatch.setattr(solver, "_dp", spy)
-        _pass(Game(n, table=tie_table(n, "int", 0)), k, counting)
+        _pass(Game(n, table=tie_table(n, "int", 0)), k)
         if k == n:
             # The budget binds nothing: one unbounded pass over every set.
             assert layers == [list(range(1, full + 1))]
@@ -199,15 +198,16 @@ class TestBoundedCells:
         # The top-only pass visits the full set alone: no other set is
         # written, and the full set reads the layer below.
         split = [None] * 4
-        assert _dp([0, 5, 7, 9], [0, 5, 7, 9], lowest=2, split=split)[0] == [0, 0, 0, 12]
+        assert _dp([0, 5, 7, 9], [0, 5, 7, 9], [1] * 4, lowest=2, split=split)[0] == [0, 0, 0, 12]
         assert split == [None, None, None, 12]
         assert _dp([0, 5, 7, 9])[0] == [0, 5, 7, 12]
 
 
 class TestBudgetCache:
-    """One cache entry per block budget: a plain pass keeps only its
-    result, a counting request on a plain entry runs the pass again, and
-    every answer is the one a fresh game gives."""
+    """One cache entry per block budget, each holding the tables of the
+    pass that filled it, so no budget runs its pass twice on one game,
+    whatever the call order; and every answer is the one a fresh game
+    gives."""
 
     n = 7
 
@@ -220,7 +220,7 @@ class TestBudgetCache:
                     lambda g, p: all_maximizers(g),
                     lambda g, p: optimal_partition(g),
                 ],
-                [1, 1, 0],
+                [1, 0, 0],
             ),
             (
                 [
@@ -228,7 +228,7 @@ class TestBudgetCache:
                     lambda g, p: optimal_partition_bounded(g, 3),
                     lambda g, p: check_dp_k_strict(g, p, 3),
                 ],
-                [4, 0, 2],
+                [4, 0, 0],
             ),
             (
                 [
@@ -236,7 +236,7 @@ class TestBudgetCache:
                     lambda g, p: check_dp_k_strict(g, p, 3),
                     lambda g, p: optimal_partition_bounded(g, 2),
                 ],
-                [2, 2, 0],
+                [2, 0, 0],
             ),
             (
                 [
@@ -245,10 +245,20 @@ class TestBudgetCache:
                     lambda g, p: check_strict_dp(g, p),
                     lambda g, p: check_dp_k(g, p, g.n),
                 ],
-                [1, 0, 1, 0],
+                [1, 0, 0, 0],
+            ),
+            (
+                # Budget 5 takes up budget 3's stack: its layers 3 and 4
+                # over the sets without player 1, then its own top.
+                [
+                    lambda g, p: optimal_partition_bounded(g, 3),
+                    lambda g, p: check_dp_k_strict(g, p, 5),
+                    lambda g, p: optimal_partition_bounded(g, 4),
+                ],
+                [2, 3, 0],
             ),
         ],
-        ids=["unbounded_then_ties", "ties_then_plain_below", "plain_then_ties", "grand_checks"],
+        ids=["unbounded_then_ties", "ties_then_plain_below", "plain_then_ties", "grand_checks", "below_then_above"],
     )
     def test_passes_per_call(self, calls, passes, monkeypatch):
         v = tie_table(self.n, "int", 0)
@@ -262,36 +272,50 @@ class TestBudgetCache:
             assert result == call(Game(self.n, table=list(v)), grand)
         assert got == passes
 
-    def test_plain_entries_keep_no_tables(self):
+    def test_every_cached_budget_holds_tables(self, monkeypatch):
         g = Game(self.n, table=tie_table(self.n, "int", 0))
         optimal_partition(g)
         optimal_partition_bounded(g, 4)
         assert sorted(g._dp) == [1, 2, 3, 4, self.n]
-        assert all(tables is None for _, tables in g._dp.values())
-        all_maximizers(g)
-        optimal_partition(g)
-        assert g._dp[self.n][1] is not None
+        full = g.full_mask
+        for j, (res, (w, best, count)) in g._dp.items():
+            tied = list(_tie_walk(w, best, count, j, full))
+            assert count[j][full] == len(tied) and res.witness.masks in tied
+            assert next(_tie_walk(w, best, None, j, full)) == res.witness.masks
+        # So a tie question on any cached budget runs no DP.
+        dp_calls = count_dp_calls(monkeypatch)
+        grand = Partition.grand(self.n)
+        for j in sorted(g._dp):
+            check_dp_k_strict(g, grand, j)
+        assert dp_calls == []
 
     @pytest.mark.parametrize("k", [3, 7])
-    def test_plain_writer_keeps_a_racing_counters_tables(self, k, monkeypatch):
-        # A counting pass of the same budget stores its tables while a
-        # plain pass builds its witness; the plain pass, storing last, must
-        # not drop them.
+    def test_racing_passes_leave_equal_entries(self, k, monkeypatch):
+        # A second pass of the same budget runs and stores its entries
+        # while the first builds its witness; whichever stores first, every
+        # entry either offers is the same.
         import coalstab.solver as solver
 
+        class Stores(dict):
+            def setdefault(self, key, value):
+                offered.setdefault(key, []).append(value)
+                return super().setdefault(key, value)
+
         v = tie_table(self.n, "int", 0)
-        g = Game(self.n, table=list(v))
-        optimal_partition_bounded(g, 2)  # so the one witness left to build is budget k's
+        g, offered = Game(self.n, table=list(v)), {}
+        optimal_partition_bounded(g, 2)  # so the passes take up budget 2's stack
+        g._dp = Stores(g._dp)
         build = solver._from_masks
 
         def spy(*args):
             monkeypatch.setattr(solver, "_from_masks", build)
-            _pass(g, k, True)
+            _pass(g, k)
             return build(*args)
 
         monkeypatch.setattr(solver, "_from_masks", spy)
-        assert optimal_partition_bounded(g, k) == optimal_partition_bounded(Game(self.n, table=list(v)), k)
-        assert g._dp[k][1] is not None
+        assert _pass(g, k)[0] == optimal_partition_bounded(Game(self.n, table=list(v)), k)
+        assert sorted(offered) == (list(range(3, k + 1)) if k < self.n else [k])
+        assert all(len(entries) == 2 and entries[0] == entries[1] for entries in offered.values())
 
 
 def _reference_dp(w, below=None, below_count=None, counting=False, lowest=0):
@@ -331,32 +355,32 @@ def _kernel_table(n, kind):
         "fraction": lambda: Fraction(rng.randint(0, 60), rng.randint(1, 6)),
         "tie": lambda: rng.randint(0, 2),
         "negative": lambda: rng.randint(-40, 10),
+        "zero": lambda: 0,
     }[kind]
     return [0] + [draw() for _ in range((1 << n) - 1)]
 
 
 class TestDpKernel:
     """``_dp`` against a recurrence that reads one candidate per step: the
-    plain pass reads the two highest players' candidates together, which
-    must leave every table as the reference leaves it."""
+    pass reads the two highest players' candidates together, which must
+    leave every table, counts included, as the reference leaves it."""
 
     @staticmethod
-    def _same(w, *args):
+    def _same(w, below=None, below_count=None, lowest=0):
         split = [None] * len(w)
-        best, count = _dp(w, *args, split=split)
-        assert (best, count, split) == _reference_dp(w, *args)
+        best, count = _dp(w, below, below_count, lowest, split)
+        assert (best, count, split) == _reference_dp(w, below, below_count, True, lowest)
         return best, count
 
-    @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "negative"])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "negative", "zero"])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_unbounded_and_every_budget(self, n, kind):
         w = _kernel_table(n, kind)
-        for counting in (False, True):
-            self._same(w, None, None, counting)
-            below = (w, [1] * len(w) if counting else None)
-            for _ in range(2, n + 1):  # budget j: its top pass, then its layer
-                self._same(w, *below, counting, n)
-                below = self._same(w, *below, counting, 1)
+        self._same(w)
+        below = (w, [1] * len(w))
+        for _ in range(2, n + 1):  # budget j: its top pass, then its layer
+            self._same(w, *below, n)
+            below = self._same(w, *below, 1)
 
     def test_twelve_players_pinned(self):
         # The digest of the tables a one-candidate step leaves on this input.
@@ -365,10 +389,30 @@ class TestDpKernel:
         w = _kernel_table(12, "int")
         split = [None] * len(w)
         best, _ = _dp(w, split=split)
-        layer, _ = _dp(w, w, lowest=1)
-        top, _ = _dp(w, layer, lowest=12)
+        layer, _ = _dp(w, w, [1] * len(w), lowest=1)
+        top, _ = _dp(w, layer, [1] * len(w), lowest=12)
         got = hashlib.sha256(repr((best, split, layer, top)).encode()).hexdigest()
         assert got == "c902750950941203d99ab72e99c5d5b2589d212dae16beab9dc0beaab2905e84"
+
+    @pytest.mark.parametrize(
+        "kind,digest",
+        [
+            ("int", "1cf7d14bb2839884884919be05d4c9e2f313182b210de5dced391cacb677c5ef"),
+            ("tie", "fd78db9e57c8e7dd365d93af90bd1fc70416d5a1422245ea789c473dc72ec73f"),
+            ("zero", "53bf5546b6346ac78ea704192f260a58ceb2076043423492eb76b40fab203621"),
+        ],
+    )
+    def test_twelve_player_counts_pinned(self, kind, digest):
+        # The digest of the count tables a one-candidate step leaves: the
+        # unbounded pass, a budget-2 layer and a budget-3 top pass.  At 12
+        # players the paired steps cover more layers than at n <= 9.
+        import hashlib
+
+        w = _kernel_table(12, kind)
+        _, count = _dp(w)
+        layer, layer_count = _dp(w, w, [1] * len(w), lowest=1)
+        _, top = _dp(w, layer, layer_count, lowest=12)
+        assert hashlib.sha256(repr((count, layer_count, top)).encode()).hexdigest() == digest
 
 
 class TestAllMaximizers:

@@ -10,6 +10,7 @@ from coalstab import (
     DP,
     STABLE,
     BlockSplit,
+    CapExceededError,
     Coalition,
     Collection,
     DefectingCollection,
@@ -402,6 +403,30 @@ class TestFindDcStable:
         assert find_dc_stable(EXA_A) is None
         assert find_dc_stable(EXA_1) is None
         assert find_dc_stable(EXA_2) is None
+
+    def test_searches_past_the_listing_cap(self):
+        # All Bell(12) partitions tie, more than a listing may hold, and
+        # the first the search vets, the grand partition, is dc-stable.
+        assert find_dc_stable(Game(12, table=[0] * (1 << 12))) == Partition.grand(12)
+
+    def test_refuses_once_the_cap_is_vetted(self, monkeypatch):
+        # exa-1 with a null player: 7 maximizers, none dc-stable.  The
+        # search vets at most the listing cap of them and refuses only
+        # when more are left.
+        import coalstab.solver as solver
+        import coalstab.stability as stability
+
+        v = EXA_1.dense_table()
+        g = Game(5, table=[v[m & 15] for m in range(32)])
+        assert len(all_maximizers(g)) == 7
+        for cap, refused in ((7, False), (6, True)):
+            monkeypatch.setattr(solver, "_LISTING_CAP", cap)
+            monkeypatch.setattr(stability, "_LISTING_CAP", cap)
+            if refused:
+                with pytest.raises(CapExceededError, match="7 maximizers exceed Bell"):
+                    find_dc_stable(g)
+            else:
+                assert find_dc_stable(g) is None
 
     def test_agrees_with_exhaustive_search(self):
         for seed in range(25):

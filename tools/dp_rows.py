@@ -17,6 +17,9 @@ time: on a 2-vCPU Xeon with Python 3.11.7, where n = 17 took 6.4 s and
 n = 18 14.2 s, they took about 70 s of the tool's 106 s.  Two rows time
 the tie paths at their 12-player cap on a strictly superadditive table:
 ``all_maximizers`` and ``check_dp_k_strict(g, grand, 3)``.  Two time
+``check_strict_dp(g, grand)`` at 12 players where the DP's tie counts
+do the most bookkeeping: on the all-zero table, where every candidate
+ties, and on a random 0..2 table.  Two time
 the dynamics split rule on the same table: ``is_closed`` at the grand
 partition under merge and split, and at ``{1..11} {12}`` under the
 split rule alone.  Two time
@@ -48,6 +51,7 @@ from coalstab import (  # noqa: E402
     Partition,
     all_maximizers,
     check_dp_k_strict,
+    check_strict_dp,
     closure_outcomes,
     is_closed,
     optimal_partition,
@@ -108,6 +112,11 @@ def fraction_table(n: int) -> list:
     return [0] + [draw() for _ in range((1 << n) - 1)]
 
 
+def tie_table(n: int) -> list:
+    rng = random.Random(f"dp_rows|tie|{n}")
+    return [0] + [rng.randint(0, 2) for _ in range((1 << n) - 1)]
+
+
 def superadditive_table(n: int) -> list:
     """``10·|S|² + U(0..9)``: strictly superadditive, since 20·|A|·|B| > 18,
     so the grand partition is the one maximizer."""
@@ -123,6 +132,7 @@ def transportation_table() -> list:
 
 def main() -> None:
     grand3 = lambda g: check_dp_k_strict(g, Partition.grand(g.n), 3)
+    strict = lambda g: check_strict_dp(g, Partition.grand(g.n))
     closed = lambda g: is_closed(g, Partition.grand(g.n))
     eleven = Partition.parse("{1,2,3,4,5,6,7,8,9,10,11} {12}")
     split_closed = lambda g: is_closed(g, eleven, ["split"])
@@ -136,6 +146,8 @@ def main() -> None:
         ("transportation, n = 12", 12, transportation_table(), optimal_partition),
         ("all_maximizers, n = 12", 12, superadditive_table(12), all_maximizers),
         ("check_dp_k_strict k=3, n = 12", 12, superadditive_table(12), grand3),
+        ("check_strict_dp zero, n = 12", 12, [0] * (1 << 12), strict),
+        ("check_strict_dp 0..2, n = 12", 12, tie_table(12), strict),
         ("is_closed grand, n = 12", 12, superadditive_table(12), closed),
         ("is_closed split, {1..11} {12}", 12, superadditive_table(12), split_closed),
         ("closure merge/split, n = 8", 8, superadditive_table(8), closure(DEFAULT_RULES)),

@@ -17,14 +17,18 @@ jump.  Rows, each over a fresh game (pops counted by wrapping
   free to join any block: before the first grouping the walk pops every
   placement of the null players beside the first ``c - 2`` core blocks;
 - ``exa-1``, which has no dc-stable partition, with null players added:
-  ``find_dc_stable`` vets every maximizer and pops the whole tie tree.
+  ``find_dc_stable`` vets every maximizer and pops the whole tie tree,
+  or, past Bell(10) maximizers at 12 players, vets Bell(10) of them and
+  refuses.
 
 Each row gives the tied partitions, the pops before the second grouping
 (the strict rival of the first grouping), the pops before
 ``find_dc_stable`` returns, the pops of the full walk, and the times of
-the strict check and the dc search on a fresh game, counting pass and
-pop counter included (best of 3).  Past the listings' Bell(10) cap the dc search
-refuses and the full walk is not run.
+the strict check and the dc search on a fresh game, DP pass and pop
+counter included (best of 3).  The dc search vets at most Bell(10)
+maximizers: a row where it vets that many, none dc-stable, with more
+left reads "refused" and counts the pops up to the refusal.  Past that
+many tied partitions the listings refuse, and the full walk is not run.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import coalstab.solver as solver  # noqa: E402
-from coalstab import Game, check_strict_dp, example_game, find_dc_stable  # noqa: E402
+from coalstab import CapExceededError, Game, check_strict_dp, example_game, find_dc_stable  # noqa: E402
 
 POPS = [0]
 _heappop = solver.heappop
@@ -71,17 +75,26 @@ def row(name: str, table: "list[int]", n: int) -> None:
     count, walk = solver._ties(g, n)  # the counting pass and its witness
     p = solver._from_masks(solver.Partition, next(walk))
     second, _ = counted(check_strict_dp, g, p)
-    dc, found, full = "refused", None, "-"
+    dc, found = counted(_dc_search, g)
+    full = "-"
     if count <= solver._LISTING_CAP:  # past it the listings refuse
-        dc, found = counted(find_dc_stable, g)
         full, _ = counted(lambda: sum(1 for _ in solver._ties(g, n)[1]))
     strict_ms = _best_ms(lambda g: check_strict_dp(g, p), table, n)
-    dc_ms = _best_ms(find_dc_stable, table, n) if count <= solver._LISTING_CAP else float("nan")
+    dc_ms = _best_ms(_dc_search, table, n)
+    outcome = "none" if found is None else "refused" if found == "refused" else "found"
     print(
-        f"{name:<18} {count:>9} ties {second:>6} pops to the 2nd {dc!s:>7} to dc"
-        f" ({'none' if found is None else 'found'}) {full!s:>7} in all"
+        f"{name:<18} {count:>9} ties {second:>6} pops to the 2nd {dc:>7} to dc"
+        f" ({outcome}) {full!s:>7} in all"
         f"  strict {strict_ms:6.1f} ms  dc {dc_ms:6.1f} ms"
     )
+
+
+def _dc_search(g: Game):
+    """``find_dc_stable(g)``, or "refused" where it refuses."""
+    try:
+        return find_dc_stable(g)
+    except CapExceededError:
+        return "refused"
 
 
 def _best_ms(f, table: "list[int]", n: int) -> float:
@@ -102,7 +115,7 @@ def main() -> None:
         for c in range(3, n):
             row(f"core {c} + {n - c} null", core_and_nulls(n, c), n)
     base = example_game("exa-1")
-    for n in range(base.n + 1, 11):
+    for n in range(base.n + 1, 13):
         row(f"exa-1 + {n - base.n} null", with_nulls(base, n), n)
 
 
