@@ -368,19 +368,19 @@ class Game:
     callable on masks and builds the list from it on its first value read,
     once, under a lock, so concurrent reads are safe and deterministic.
     Treat instances as immutable; the only internal mutation is caching.
-    The solver keeps two caches: ``_dp``, one entry per block budget
+    The solver keeps one cache, ``_dp``: one entry per block budget
     holding the optimum and the tie-counting tables of the pass that
-    gave it; and ``_split``, the unbounded pass's split table.  They are
-    written without a lock, as racing writers store equal entries.
-    ``family``/``params``
-    carry optional provenance used by the file format to round-trip
-    generated games.
+    gave it.  The unbounded entry's tables also answer the stability
+    scans' split test.  Each entry is written once, without a lock, as
+    racing writers compute equal entries.  ``family``/``params`` carry
+    optional provenance used by the file format to round-trip generated
+    games.
     """
 
     __slots__ = (
         "n", "full_mask", "family", "params",
         "_table", "_rule", "_lock",
-        "_dp", "_split",
+        "_dp",
     )
 
     def __init__(
@@ -403,7 +403,6 @@ class Game:
         self._rule = rule
         self._lock = threading.Lock() if rule is not None else None
         self._dp: dict[int, tuple] = {}
-        self._split: "list[Value] | None" = None
 
     @classmethod
     def from_table(

@@ -12,21 +12,21 @@ together the candidates that differ only in where the two highest
 players go: one submask of the other members gives up to four int adds
 and compares.  A table that holds Fractions runs scaled
 to ints by the lcm of its denominators, while that lcm has at most
-``_SCALE_BITS`` bits; the walk reads the same scaled table, and only
-the reported values are divided back.
+``_SCALE_BITS`` bits; the walk reads the same scaled table, and every
+reported value is summed from the game's own table over the blocks
+that reach it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import lcm
 
 from .model import (
     PARTITION_ENUM_CAP, CapExceededError, Game, Partition, Value,
-    _check_cap, _Coalitions, _from_masks, _submasks, as_value,
+    _check_cap, _Coalitions, _from_masks, _submasks, _welfare,
 )
 
 SOLVER_CAP = 18
@@ -45,7 +45,7 @@ class OptResult:
     witness: Partition
 
 
-def _dp(w, below=None, below_count=None, lowest=0, split=None):
+def _dp(w, below=None, below_count=None, lowest=0):
     """One pass of the recurrence over the 2**b values ``w``.
 
     ``best[s]`` is the larger of ``w[s]`` and the best split of ``s``: the
@@ -53,8 +53,10 @@ def _dp(w, below=None, below_count=None, lowest=0, split=None):
     holding its least element, where ``rest`` is ``below`` (one block
     fewer) or, unbounded, ``best`` itself; ``count[s]`` is how many
     groupings reach ``best[s]``, where ``below_count`` counts the rest's.
-    A ``split`` list receives each best split (``-inf`` for one player).
-    The pass keeps values and counts, not the blocks that reach them:
+    Unbounded, the tables answer whether a split of ``s`` beats ``s``
+    whole (``w[s] < best[s]``) or ties or beats it (that, or
+    ``count[s] > 1``: a whole that ties its best split is counted with
+    it).  The pass keeps values and counts, not the blocks that reach them:
     :func:`_tie_walk` finds the witnesses.  :func:`_pass` runs it on a
     game's table and caches what it gives.
 
@@ -144,39 +146,28 @@ def _dp(w, below=None, below_count=None, lowest=0, split=None):
             s, b = low | rest, wl[rest]
             best[s] = b if b >= sp else sp
             count[s] = 1 if b > sp else c + (b == sp)
-            if split is not None:
-                split[s] = sp
     return best, count
 
 
 def _int_table(v):
-    """``v`` as the DP runs it, and the factor it was scaled by.
+    """``v`` as the DP runs it.
 
-    An int table runs as it is, with factor ``None``.  A table holding a
-    Fraction runs multiplied by the lcm ``L`` of its denominators, as
-    ints: sums, comparisons and ties are the same, and an int add costs
-    about a fifteenth of a Fraction one.  Past ``_SCALE_BITS`` bits of
-    ``L`` the big-int adds and the divisions back cost more than they
-    save, so the table runs on its Fractions, with factor 1.  Read values
-    back with :func:`_unscale`.
+    An int table runs as it is.  A table holding a Fraction runs
+    multiplied by the lcm ``L`` of its denominators, as ints: sums,
+    comparisons and ties are the same, and an int add costs about a
+    fifteenth of a Fraction one.  Past ``_SCALE_BITS`` bits of ``L`` the
+    big-int adds cost more than they save, so the table runs on its
+    Fractions.  Values on the game's scale are summed from ``v`` itself
+    over the blocks the DP picks.
     """
     if set(map(type, v)) <= {int}:
-        return v, None
+        return v
     scale = 1
     for d in {x.denominator for x in v}:
         scale = lcm(scale, d)
         if scale.bit_length() > _SCALE_BITS:
-            return v, 1
-    return [x.numerator * (scale // x.denominator) for x in v], scale
-
-
-def _unscale(x, scale: "int | None") -> Value:
-    """A value of the table :func:`_int_table` gave back on the game's
-    scale: an int when integral, else a Fraction in lowest terms; ``-inf``
-    stays."""
-    if scale is None or x == _NO_SPLIT:
-        return x
-    return as_value(x if scale == 1 else Fraction(x, scale))
+            return v
+    return [x.numerator * (scale // x.denominator) for x in v]
 
 
 def _tie_walk(w, best, count, j: int, s: int):
@@ -236,27 +227,28 @@ def _digits(n: int) -> "list[int]":
 
 
 def _best_grouping(
-    v: "list[Value]", mask: int, split: "list[Value] | None" = None
+    v: "list[Value]", mask: int, tables: "tuple | None" = None
 ) -> "tuple[Value, tuple[int, ...]]":
     """The best value of a grouping of ``mask``'s players, and its blocks.
 
     The tables index ``mask``'s own submasks: O(2**|mask|) memory.  With
-    the game's split table each submask's best grouping is read off it;
-    without, a DP finds them in O(3**|mask|) time.  Unbounded, a set of j
-    players has the same table under every budget from j up, so one table
-    serves the whole walk.
+    the unbounded pass's ``(w, best, count)`` each submask's best
+    grouping is read off its ``w`` and ``best``; without, a DP finds them
+    in O(3**|mask|) time.  Unbounded, a set of j players has the same
+    table under every budget from j up, so one table serves the whole
+    walk.  The value is the blocks' sum over ``v``.
     """
     expand = _submasks(mask)
-    w, scale = [v[m] for m in expand], None
-    if split is None:
-        w, scale = _int_table(w)
+    if tables is None:
+        w = _int_table([v[m] for m in expand])
         best, _ = _dp(w)
     else:
-        best = [max(v[m], split[m]) for m in expand]
+        w = [tables[0][m] for m in expand]
+        best = [tables[1][m] for m in expand]
     top = len(w) - 1
     b = top.bit_length()
-    parts = next(_tie_walk(w, [best] * (b + 1), None, b, top))
-    return _unscale(best[top], scale), tuple(expand[t] for t in parts)
+    parts = tuple(expand[t] for t in next(_tie_walk(w, [best] * (b + 1), None, b, top)))
+    return _welfare(v, parts), parts
 
 
 def _pass(g: Game, k: int):
@@ -269,8 +261,8 @@ def _pass(g: Game, k: int):
     reads them.
 
     At ``k = n`` the budget binds nothing: the pass is the unbounded one,
-    its tables serve every budget of the stack, and it leaves the split
-    table on the game's scale once it is whole.  Below ``n`` the pass is
+    and its tables serve every budget of the stack and every split test
+    of the stability scans (see :func:`_dp`).  Below ``n`` the pass is
     layered.  Budget 1 is the value table itself and budget k covers the
     full mask only.  Budgets 2 .. k-1 cover the full mask and the masks
     without player 1, whose lowest bit is 1 or higher: a budget-j
@@ -280,19 +272,21 @@ def _pass(g: Game, k: int):
     up to ``k``, so the pass caches each one not yet cached, tables
     included; and it starts from the stack of the largest budget ``m``
     cached up to ``k``, whose layers below ``m`` cover those sets, so
-    only the layers from ``m`` up run.
+    only the layers from ``m`` up run.  Each optimum is the sum of the
+    game's values over its witness's blocks.
 
-    Racing writers store equal entries, so the cache needs no lock.
+    Each budget's entry is written once, with ``setdefault``: a racing
+    pass computes an equal entry and drops it, so the cache needs no
+    lock.
     """
     entry = g._dp.get(k)
     if entry is not None:
         return entry
-    w, scale = _int_table(g.dense_table())
+    v = g.dense_table()
+    w = _int_table(v)
     full, n = g.full_mask, g.n
     if k == n:
-        split: "list[Value]" = [0] * len(w)
-        best, count = _dp(w, split=split)
-        g._split = split if scale is None else [_unscale(x, scale) for x in split]
+        best, count = _dp(w)
         best, count = [best] * (n + 1), [count] * (n + 1)
     else:
         # The stack of the largest budget cached, or budget 1's: its
@@ -307,17 +301,27 @@ def _pass(g: Game, k: int):
     for j in range(1, k + 1) if k < n else (n,):
         if j not in g._dp:
             witness = next(_tie_walk(w, best, None, j, full))
-            res = OptResult(_unscale(best[j][full], scale), _from_masks(Partition, witness))
+            res = OptResult(_welfare(v, witness), _from_masks(Partition, witness))
             g._dp.setdefault(j, (res, (w, best, count)))
     return g._dp[k]
+
+
+def _split_tables(g: Game):
+    """The unbounded pass's ``(w, best, count)`` when the game has cached
+    it, else None: the tables the stability scans' split test reads."""
+    entry = g._dp.get(g.n)
+    if entry is None:
+        return None
+    w, best, count = entry[1]
+    return w, best[g.n], count[g.n]
 
 
 def optimal_partition(g: Game) -> OptResult:
     """Maximum social welfare over all partitions, with a witness.
 
     Deterministic: ties at every table cell break toward the candidate
-    block with the smallest bit pattern.  The result is cached on the game,
-    and so is the DP's split table, which the stability scans read.
+    block with the smallest bit pattern.  The result is cached on the game
+    with the DP's tables, whose split test the stability scans read.
     """
     _check_cap(g.n, SOLVER_CAP, "solver")
     return _pass(g, g.n)[0]

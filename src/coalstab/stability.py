@@ -54,7 +54,8 @@ from .model import (
     as_value,
 )
 from .solver import (
-    _LISTING_CAP, _best_grouping, _check_listing, _ties, optimal_partition, optimal_partition_bounded
+    _LISTING_CAP, _best_grouping, _check_listing, _split_tables, _ties, optimal_partition,
+    optimal_partition_bounded,
 )
 
 
@@ -191,15 +192,16 @@ STABLE = Verdict(True)
 
 def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     v = g.dense_table()
-    split = g._split
+    tables = _split_tables(g)
     # Condition 1: inside each block, no pair of disjoint pieces may beat
     # (strict: tie) their union.  Pairs are anchored on the union's least
-    # player so each unordered pair appears once.  A cached split table
-    # bounds every pair's sum, so only the unions it flags are scanned.
+    # player so each unordered pair appears once.  A union's best split
+    # bounds every pair's sum, so with the unbounded pass's tables cached
+    # only the unions whose split gains are scanned.
     for i, pm in enumerate(pmasks):
         u = pm
         while u:
-            if u & (u - 1) and (split is None or _splits_gain(split[u], v[u], strict)):
+            if u & (u - 1) and (tables is None or _splits_gain(tables, u, strict)):
                 low = u & -u
                 rest = u ^ low
                 combined = v[u]
@@ -238,9 +240,16 @@ def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     return STABLE
 
 
-def _splits_gain(split: Value, whole: Value, strict: bool) -> bool:
-    """Does the best split beat (strict: tie) the whole?"""
-    return whole < split or (strict and whole == split)
+def _splits_gain(tables, u: int, strict: bool) -> bool:
+    """Does the best split of ``u`` beat (strict: tie) ``u`` whole?
+
+    Read off the unbounded pass's ``(w, best, count)``: a split beats
+    ``u`` exactly when ``best[u]`` passes ``w[u]``.  It ties ``u``
+    exactly when, besides, two or more groupings reach ``best[u]``, as
+    the DP counts a whole that ties its best split as one more grouping.
+    """
+    w, best, count = tables
+    return w[u] < best[u] or (strict and count[u] > 1)
 
 
 def check_dc(g: Game, p: Partition) -> Verdict:
@@ -348,28 +357,29 @@ def _gaining_splits(
     ``parts`` are the block's best grouping.  The dhp split scan and the
     dynamics split rule both run on it.
 
-    A cached split table answers for each block and, for a gaining block,
-    gives its best grouping without a DP; that grouping leaves the block
-    whole only when no split ties or beats it.  Without the table each
-    block runs its own DP, except a block holding every player, whose DP
-    is the solver's: there the solver runs it and keeps the table for
-    later scans.  Each block passes the split-scan cap before the value
-    table is read for it.
+    The unbounded pass's cached tables answer for each block and, for a
+    gaining block, give its best grouping without a DP; that grouping
+    leaves the block whole only when no split ties or beats it.  Without
+    them each block runs its own DP, except a block holding every player,
+    whose DP is the solver's: there the solver runs it and caches the
+    tables for later scans.  ``best`` is the sum of the game's values
+    over ``parts``.  Each block passes the split-scan cap before the
+    value table is read for it.
     """
-    split = g._split
+    tables = _split_tables(g)
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
         if size < 2:
             continue
         _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
-        if split is None and pm == g.full_mask:
+        if tables is None and pm == g.full_mask:
             optimal_partition(g)
-            split = g._split
+            tables = _split_tables(g)
         v = g.dense_table()
         whole = v[pm]
-        if split is not None and not _splits_gain(split[pm], whole, strict):
+        if tables is not None and not _splits_gain(tables, pm, strict):
             continue
-        best, parts = _best_grouping(v, pm, split)
+        best, parts = _best_grouping(v, pm, tables)
         if whole < best or (strict and len(parts) > 1):
             yield i, whole, best, parts
 
@@ -520,7 +530,7 @@ def is_superadditive(g: Game, strict: bool = False) -> bool:
     """True iff every disjoint pair satisfies v(A) + v(B) <= v(A∪B)
     (``strict=True``: <): the grand coalition passes the dc pair scan.
     Costs a 3**n disjoint-pair scan that stops at the first violation, or
-    an O(2**n) sweep when the game holds the solver's split table."""
+    an O(2**n) sweep when the game holds the unbounded DP pass's tables."""
     return _dc_scan(g, (g.full_mask,), strict).stable
 
 

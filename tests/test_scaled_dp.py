@@ -1,7 +1,7 @@
 """The solver DP on tables that hold Fractions.
 
-Such a table runs as ints, scaled by the lcm of its denominators, and only
-the values the solver reports are divided back.  These tests hold the
+Such a table runs as ints, scaled by the lcm of its denominators, and every
+value the solver reports is summed from the game's own table.  These tests hold the
 scaled path to plain enumeration and to the definitional oracles, pin the
 type of every reported value, and pin the witnesses and maximizer order
 the Fraction arithmetic gave before the scaling."""
@@ -35,6 +35,8 @@ from coalstab import (
     optimal_partition_bounded,
 )
 from coalstab.model import _iter_partition_masks
+from coalstab.solver import _best_grouping, _split_tables
+from coalstab.stability import _splits_gain
 from conftest import witness_violates
 
 # Denominator 1 keeps ints in the tables; 7..23 are pairwise coprime, so
@@ -101,11 +103,15 @@ def test_solvers_agree_with_enumeration(case):
         got = optimal_partition_bounded(Game(n, table=list(v)), k)
         assert got.optimum == top
         assert got.witness.masks == min(q for q in fits if welfare(v, q) == top)
+    # The cached tables give each mask's best grouping on the game's scale
+    # and whether a split beats (strict: ties) the mask whole.
+    tables = _split_tables(g)
     for s in range(1, 1 << n):
-        if s & (s - 1):
-            assert g._split[s] == max(welfare(v, q) for q in _iter_partition_masks(s) if len(q) > 1)
-        else:
-            assert g._split[s] == float("-inf")
+        split = max((welfare(v, q) for q in _iter_partition_masks(s) if len(q) > 1), default=None)
+        assert _best_grouping(v, s, tables)[0] == (v[s] if split is None else max(v[s], split))
+        for strict in (False, True):
+            gains = split is not None and (split > v[s] or (strict and split == v[s]))
+            assert _splits_gain(tables, s, strict) == gains
 
 
 @settings(max_examples=40)
@@ -197,7 +203,8 @@ def test_a_huge_lcm_runs_on_the_fractions():
     best = max(welfare(v, q) for q in groupings)
     assert res.optimum == best
     assert res.witness.masks == min(q for q in groupings if welfare(v, q) == best)
-    for x in [res.optimum] + [x for x in g._split if x != float("-inf")]:
+    tables = _split_tables(g)
+    for x in [res.optimum] + [_best_grouping(v, s, tables)[0] for s in range(1, 16)]:
         assert_exact(x)
 
 
@@ -209,8 +216,12 @@ def test_value_types_on_a_mixed_table():
     v = [0, h, h, Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(3, 2), 1]
     g = Game(3, table=list(v))
     assert repr(optimal_partition(g)) == "OptResult(optimum=2, witness={1} {2,3})"
-    assert g._split == [0, float("-inf"), float("-inf"), 1, float("-inf"), Fraction(7, 6), Fraction(7, 6), 2]
-    assert [type(g._split[s]) for s in (3, 5, 7)] == [int, Fraction, int]
+    tables = _split_tables(g)
+    assert repr([_best_grouping(v, s, tables)[0] for s in range(1, 8)]) == (
+        "[Fraction(1, 2), Fraction(1, 2), 1, Fraction(2, 3), Fraction(7, 6), Fraction(3, 2), 2]"
+    )
+    for strict in (False, True):
+        assert [_splits_gain(tables, s, strict) for s in (3, 5, 6, 7)] == [True, True, False, True]
     bounded = [optimal_partition_bounded(Game(3, table=list(v)), k).optimum for k in (1, 2, 3)]
     assert repr(bounded) == "[1, 2, 2]"
     assert all_maximizers(g) == [Partition.parse("{1} {2,3}")]
@@ -243,7 +254,24 @@ def test_an_int_table_runs_as_it_is():
         restore()
     # One unbounded pass, which the listing reuses, and two layers.
     assert len(calls) == 3 and all(w is v for w in calls)
-    assert all(type(x) is int for x in g._split[3:] if x != float("-inf"))
+    w, best, _ = _split_tables(g)
+    assert w is v and all(type(x) is int for x in best)
+
+
+def test_a_witness_value_does_not_depend_on_the_cache():
+    # The block {1,2} ties its split {1} {2}: on a fresh game its own DP
+    # finds the split, on a solved one the cached tables do, and both
+    # report the parts' sum as as_value gives it.
+    one, two = Fraction(1), Fraction(2)
+    v = [0, one, one, two, one, two, two, Fraction(3)]
+    pair = Partition.parse("{1,2} {3}")
+    fresh = check_strict_dhp(Game(3, table=list(v)), pair)
+    solved = Game(3, table=list(v))
+    optimal_partition(solved)
+    for got in (fresh, check_strict_dhp(solved, pair)):
+        assert repr(got.witness) == (
+            "BlockSplit(block_index=0, parts={1} {2}, whole_value=Fraction(2, 1), parts_value=2)"
+        )
 
 
 def digest() -> str:

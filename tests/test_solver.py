@@ -39,6 +39,7 @@ from coalstab import (
     social_welfare,
 )
 from coalstab.solver import _dp, _pass, _tie_walk
+from coalstab.stability import _splits_gain
 from conftest import brute_force_optimum, count_dp_calls, tie_table
 
 
@@ -177,15 +178,15 @@ class TestBoundedCells:
         full = (1 << n) - 1
         layers = []
 
-        def spy(w, below=None, below_count=None, lowest=0, split=None):
-            # A pass writes a set's split exactly when it visits the set.
-            seen = [None] * len(w)
-            got = _dp(w, below, below_count, lowest, seen)
-            layers.append([s for s, x in enumerate(seen) if x is not None])
+        def spy(w, below=None, below_count=None, lowest=0):
+            # On a table positive off the empty set, a pass leaves a set's
+            # best above 0 exactly when it visits the set.
+            got = _dp(w, below, below_count, lowest)
+            layers.append([s for s, x in enumerate(got[0]) if x])
             return got
 
         monkeypatch.setattr(solver, "_dp", spy)
-        _pass(Game(n, table=tie_table(n, "int", 0)), k)
+        _pass(Game(n, table=[0] + [1 + x for x in tie_table(n, "int", 0)[1:]]), k)
         if k == n:
             # The budget binds nothing: one unbounded pass over every set.
             assert layers == [list(range(1, full + 1))]
@@ -197,9 +198,7 @@ class TestBoundedCells:
     def test_cells_bound_the_pass(self):
         # The top-only pass visits the full set alone: no other set is
         # written, and the full set reads the layer below.
-        split = [None] * 4
-        assert _dp([0, 5, 7, 9], [0, 5, 7, 9], [1] * 4, lowest=2, split=split)[0] == [0, 0, 0, 12]
-        assert split == [None, None, None, 12]
+        assert _dp([0, 5, 7, 9], [0, 5, 7, 9], [1] * 4, lowest=2) == ([0, 0, 0, 12], [1, 1, 1, 1])
         assert _dp([0, 5, 7, 9])[0] == [0, 5, 7, 12]
 
 
@@ -367,9 +366,16 @@ class TestDpKernel:
 
     @staticmethod
     def _same(w, below=None, below_count=None, lowest=0):
-        split = [None] * len(w)
-        best, count = _dp(w, below, below_count, lowest, split)
-        assert (best, count, split) == _reference_dp(w, below, below_count, True, lowest)
+        best, count = _dp(w, below, below_count, lowest)
+        ref_best, ref_count, split = _reference_dp(w, below, below_count, True, lowest)
+        assert (best, count) == (ref_best, ref_count)
+        if below is None:
+            # The unbounded tables' split test against the reference's
+            # best splits, on every set of two or more players.
+            for s in range(3, len(w)):
+                if s & (s - 1):
+                    assert _splits_gain((w, best, count), s, False) == (split[s] > w[s])
+                    assert _splits_gain((w, best, count), s, True) == (split[s] >= w[s])
         return best, count
 
     @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "negative", "zero"])
@@ -387,12 +393,11 @@ class TestDpKernel:
         import hashlib
 
         w = _kernel_table(12, "int")
-        split = [None] * len(w)
-        best, _ = _dp(w, split=split)
+        best, _ = _dp(w)
         layer, _ = _dp(w, w, [1] * len(w), lowest=1)
         top, _ = _dp(w, layer, [1] * len(w), lowest=12)
-        got = hashlib.sha256(repr((best, split, layer, top)).encode()).hexdigest()
-        assert got == "c902750950941203d99ab72e99c5d5b2589d212dae16beab9dc0beaab2905e84"
+        got = hashlib.sha256(repr((best, layer, top)).encode()).hexdigest()
+        assert got == "d922422a7ec5b0c71f1df943dcd183b2edae010322d7b8634db6a24d5aaed51c"
 
     @pytest.mark.parametrize(
         "kind,digest",
@@ -509,7 +514,7 @@ class TestSharedGameThreads:
         # The caches are written without a lock; racing writers must still
         # leave every thread with the answers a fresh game gives.  Each
         # closure keeps its blocks' cuts in a table of its own while the
-        # solvers put the split table on the game.
+        # solvers cache their tables on the game.
         n, workers = 8, 8
         starts = (
             (Partition.parse("{1,2,3,4,5} {6,7} {8}"), DEFAULT_RULES),
@@ -539,8 +544,9 @@ class TestSharedGameThreads:
         assert results == [expect] * workers
 
     def test_checks_agree_while_the_split_table_appears(self):
-        # The dc and dhp scans read the solvers' split table once it is on
-        # the game; solver threads put it there while the checks run.
+        # The dc and dhp scans read the unbounded pass's tables once they
+        # are cached on the game; solver threads cache them while the
+        # checks run.
         n, checkers, solvers, rounds = 8, 8, 2, 3
         parts = (Partition.grand(n), Partition.singletons(n), Partition.parse("{1,2,3} {4,5,6,7,8}"))
 
@@ -563,5 +569,5 @@ class TestSharedGameThreads:
                 all_maximizers(shared)
 
         _race(work, checkers + solvers)
-        assert shared._split is not None
+        assert shared.n in shared._dp
         assert results == [[expect] * rounds] * checkers

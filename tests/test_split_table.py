@@ -1,11 +1,12 @@
-"""The solver's split table on the Game.
+"""The split test the scans read off the solver's cached tables.
 
-``optimal_partition`` and ``all_maximizers`` leave on the game, for every
-mask of two or more players, the best value of a grouping into two or
-more parts.  The dc pair scan, the dhp split scan and the dynamics split
-rule read it when it is there, and a dhp scan or a split rule on the
-grand block leaves it; these tests hold them to the answers they give
-without it, and to the definitional oracles."""
+``optimal_partition`` and ``all_maximizers`` cache on the game the
+unbounded DP pass's tables, which tell for every mask of two or more
+players whether some grouping into two or more parts beats (strict: ties)
+the mask whole.  The dc pair scan, the dhp split scan and the dynamics
+split rule read it when it is there, and a dhp scan or a split rule on
+the grand block caches it; these tests hold them to the answers they give
+without it, to plain enumeration and to the definitional oracles."""
 
 import random
 from fractions import Fraction
@@ -42,8 +43,11 @@ from coalstab import (
     is_superadditive,
     iterate,
     optimal_partition,
+    optimal_partition_bounded,
     random_game,
 )
+from coalstab.solver import _best_grouping, _split_tables
+from coalstab.stability import _splits_gain
 from conftest import count_dp_calls, witness_violates
 
 CHECKS = (
@@ -93,8 +97,8 @@ def tables(draw, max_n=8):
 
 
 def answers(g, p):
-    """Every check that reads the split table; ``find_dc_stable`` last,
-    since its ``all_maximizers`` call leaves the table on the game."""
+    """Every check that reads the split test; ``find_dc_stable`` last,
+    since its tie-counting pass caches the tables on the game."""
     grand = Partition.grand(g.n)
     return (
         [f(g, q) for q in (p, grand) for f, _, _ in CHECKS],
@@ -114,7 +118,7 @@ def test_checks_give_the_same_answers_with_and_without_the_table(case):
     for solve in (optimal_partition, all_maximizers):
         g = Game(n, table=list(v))
         solve(g)
-        assert g._split is not None
+        assert g.n in g._dp
         assert answers(g, p) == expect
 
 
@@ -145,21 +149,57 @@ def best_split(v, s):
     )
 
 
+def assert_split_test(g, v):
+    """The cached split test on every mask of two or more players against
+    :func:`best_split`, and each mask's best grouping against both."""
+    tables = _split_tables(g)
+    assert tables is not None
+    for s in range(1, 1 << g.n):
+        if s & (s - 1):
+            split = best_split(v, s)
+            assert _splits_gain(tables, s, False) == (split > v[s])
+            assert _splits_gain(tables, s, True) == (split >= v[s])
+            assert _best_grouping(v, s, tables)[0] == max(v[s], split)
+
+
 @settings(max_examples=60)
 @given(tables(max_n=6))
 def test_the_table_holds_each_masks_best_split(case):
     n, v, _ = case
-    splits = []
     for solve in (optimal_partition, all_maximizers):
         g = Game(n, table=list(v))
         solve(g)
-        splits.append(g._split)
-        for s in range(1, 1 << n):
-            if s & (s - 1):
-                assert g._split[s] == best_split(v, s)
-    assert splits[0] == splits[1]
+        assert_split_test(g, v)
     if n > 1:
-        assert optimal_partition(g).optimum == max(v[-1], splits[0][-1])
+        assert optimal_partition(g).optimum == max(v[-1], best_split(v, g.full_mask))
+
+
+def seeded_table(kind, n):
+    rng = random.Random(f"split-test|{kind}|{n}")
+    draw = {
+        "int": lambda: rng.randint(-20, 50),
+        "fraction": lambda: Fraction(rng.randint(-6, 20), rng.randint(1, 6)),
+        "tie": lambda: rng.randint(0, 2),
+        "zero": lambda: 0,
+    }[kind]
+    return [0] + [draw() for _ in range((1 << n) - 1)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_split_test_on_every_mask(kind, n):
+    # Solved directly, by the listing, and with a budget n - 1 entry cached
+    # before or after the unbounded one.
+    v = seeded_table(kind, n)
+    orders = [[optimal_partition], [all_maximizers]]
+    if n > 1:
+        bounded = lambda g: optimal_partition_bounded(g, n - 1)
+        orders += [[optimal_partition, bounded], [bounded, optimal_partition]]
+    for order in orders:
+        g = Game(n, table=list(v))
+        for solve in order:
+            solve(g)
+        assert_split_test(g, v)
 
 
 def test_scans_on_a_fresh_game_build_no_table():
@@ -176,19 +216,19 @@ def test_scans_on_a_fresh_game_build_no_table():
     is_superadditive(g)
     is_superadditive(g, strict=True)
     corollary_shortcuts(g)
-    assert g._split is None
+    assert g.n not in g._dp
     assert g._dp == {}
     for f in (check_dhp, check_strict_dhp):
         grand = Game(n, table=list(v))
         f(grand, Partition.grand(n))
-        assert grand._split is not None
+        assert grand.n in grand._dp
         assert grand._dp[n][0] == optimal_partition(Game(n, table=list(v)))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_grand_dhp_checks_share_one_dp(seed, monkeypatch):
     # The grand block's DP runs once, through the solver; the strict check
-    # after it reads the table.
+    # after it reads the cached tables.
     rng = random.Random(seed)
     n = 6 + seed % 3
     g = Game(n, table=[0] + [rng.randint(0, 2) for _ in range((1 << n) - 1)])
@@ -225,7 +265,7 @@ def test_grand_block_over_the_split_cap_runs_no_solver(check):
     with pytest.raises(CapExceededError, match=f"cap of {PARTITION_ENUM_CAP}$"):
         check(g, Partition.grand(n))
     assert g._dp == {}
-    assert g._split is None
+    assert g.n not in g._dp
 
 
 @pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
@@ -233,7 +273,7 @@ def test_split_scan_cap_holds_with_a_table(check):
     n = PARTITION_ENUM_CAP + 1
     g = Game.from_rule(n, lambda m: 0)
     optimal_partition(g)
-    assert g._split is not None
+    assert g.n in g._dp
     with pytest.raises(CapExceededError, match=f"cap of {PARTITION_ENUM_CAP}$"):
         check(g, Partition.grand(n))
 
@@ -261,8 +301,8 @@ class ProbeTable(list):
 @pytest.mark.parametrize("solve", [optimal_partition, all_maximizers])
 @pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
 def test_checks_run_inside_the_dp_see_no_partial_table(solve, share):
-    # A scan that starts while the DP is filling the table must not see the
-    # table until it is complete: it gives a fresh game's answers.
+    # A scan that starts while the DP is filling its tables must not see
+    # them until they are cached: it gives a fresh game's answers.
     n = 8
     rng = random.Random(11)
     v = [0] + [rng.randint(1, 9) for _ in range((1 << n) - 1)]
@@ -282,8 +322,8 @@ def test_checks_run_inside_the_dp_see_no_partial_table(solve, share):
 
 @pytest.mark.parametrize("check", [check_dhp, check_strict_dhp])
 def test_dhp_witness_on_a_warmed_game_runs_no_dp(check, monkeypatch):
-    # With the split table on the game, a gaining block's witness is read
-    # off the table: no DP over the block's submasks.
+    # With the unbounded pass's tables on the game, a gaining block's
+    # witness is read off them: no DP over the block's submasks.
     rng = random.Random(3)
     n = 7
     v = [0] + [rng.randint(0, 9) for _ in range((1 << n) - 1)]
@@ -315,7 +355,7 @@ def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, r
 
     def answers(g):
         # closure_outcomes keeps each block's cuts for one search, from the
-        # block's own DP on the fresh game and from the table on the other
+        # block's own DP on the fresh game and from the tables on the other
         return (
             applicable_rules(g, p, rules),
             is_closed(g, p, rules),
@@ -327,7 +367,7 @@ def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, r
     expect = answers(random_game(spec))
     g = random_game(spec)
     optimal_partition(g)
-    assert g._split is not None
+    assert g.n in g._dp
     assert answers(g) == expect
     # Both sides above decide gaining blocks by the same split scan, so the
     # split rule is also held to every gaining cut, listed by enumeration.

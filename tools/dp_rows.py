@@ -27,7 +27,7 @@ split rule alone.  Two time
 superadditive table, where every one of the Bell(8) partitions is
 reachable: under merge and split, and under all four rules.
 Each run calls a fresh game over a table built beforehand, so a row is
-the DP, its tie walk and the split table, not the table's construction.
+the DP, its tie walk and its cached tables, not the table's construction.
 ``SRC_DIR`` (default: this repository's ``src``) is the package to time.
 """
 
