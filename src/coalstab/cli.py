@@ -303,6 +303,10 @@ def _fail(message: str) -> None:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
+    """Run one subcommand on ``argv`` (default: ``sys.argv[1:]``), write
+    its JSON report to stdout, and return the exit code: 0 stable or
+    found, 1 unstable or nothing found, 2 a usage or input error, 3 a
+    cap hit."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

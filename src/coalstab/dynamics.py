@@ -122,6 +122,8 @@ BEST_GAIN = Strategy("best")
 
 
 def random_strategy(seed: int) -> Strategy:
+    """The strategy that draws uniformly among applicable rules, seeded by
+    ``seed`` afresh on every :func:`iterate` call."""
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError("random strategy seed must be an int")
     return Strategy("random", seed)
@@ -265,7 +267,9 @@ def _gaining_cuts(g: Game, pm: int) -> "Iterator[tuple[tuple[int, ...], Value]]"
 
 def _application(rule: RuleName, fields, gain: Value, coalitions: _Coalitions) -> RuleApplication:
     """The application object of one :func:`_edges` yield; its payload
-    and part coalitions come from ``coalitions``."""
+    and part coalitions come from ``coalitions``, and its gain follows
+    :func:`as_value`."""
+    gain = as_value(gain)
     if rule is RuleName.MERGE:
         return Merge(_indices(fields), gain)
     if rule is RuleName.SPLIT:

@@ -364,7 +364,9 @@ class Game:
     """An n-player game: an exact value for every coalition, 0 for the empty set.
 
     The values live in one dense list of 2**n values, indexed by mask.  A
-    table-backed game is given that list; a rule-backed game holds a
+    table-backed game is given that list, 0 first: an int list is kept as
+    it is, and other entries go through :func:`as_value` into a copy, so
+    a float or a bool is refused.  A rule-backed game holds a
     callable on masks and builds the list from it on its first value read,
     once, under a lock, so concurrent reads are safe and deterministic.
     Treat instances as immutable; the only internal mutation is caching.
@@ -395,6 +397,13 @@ class Game:
         _check_player_count(n)
         if (table is None) == (rule is None):
             raise ValueError("provide exactly one of table= or rule=")
+        if table is not None:
+            if not isinstance(table, list) or not set(map(type, table)) <= {int}:
+                table = [as_value(x) for x in table]
+            if len(table) != 1 << n:
+                raise ValueError(f"a {n}-player table needs {1 << n} values, got {len(table)}")
+            if table[0] != 0:
+                raise ValueError("the empty set must have value 0")
         self.n = n
         self.full_mask = (1 << n) - 1
         self.family = family

@@ -226,31 +226,6 @@ def _digits(n: int) -> "list[int]":
     return digits
 
 
-def _best_grouping(
-    v: "list[Value]", mask: int, tables: "tuple | None" = None
-) -> "tuple[Value, tuple[int, ...]]":
-    """The best value of a grouping of ``mask``'s players, and its blocks.
-
-    The tables index ``mask``'s own submasks: O(2**|mask|) memory.  With
-    the unbounded pass's ``(w, best, count)`` each submask's best
-    grouping is read off its ``w`` and ``best``; without, a DP finds them
-    in O(3**|mask|) time.  Unbounded, a set of j players has the same
-    table under every budget from j up, so one table serves the whole
-    walk.  The value is the blocks' sum over ``v``.
-    """
-    expand = _submasks(mask)
-    if tables is None:
-        w = _int_table([v[m] for m in expand])
-        best, _ = _dp(w)
-    else:
-        w = [tables[0][m] for m in expand]
-        best = [tables[1][m] for m in expand]
-    top = len(w) - 1
-    b = top.bit_length()
-    parts = tuple(expand[t] for t in next(_tie_walk(w, [best] * (b + 1), None, b, top)))
-    return _welfare(v, parts), parts
-
-
 def _pass(g: Game, k: int):
     """The game's cache entry for block budget ``k``, filled by one DP
     pass if it is missing.
@@ -306,14 +281,28 @@ def _pass(g: Game, k: int):
     return g._dp[k]
 
 
-def _split_tables(g: Game):
-    """The unbounded pass's ``(w, best, count)`` when the game has cached
-    it, else None: the tables the stability scans' split test reads."""
+def _block_tables(g: Game, pm: int):
+    """The unbounded pass's ``(w, best, count)`` for the sets inside
+    block ``pm``, and ``lift``: the tables the stability scans' split
+    test (see :func:`_dp`) and their walk to a block's best grouping read.
+
+    When the game holds the unbounded pass they are its cached tables,
+    indexed by mask, and ``lift`` is None; a block holding every player
+    runs that pass first, as its own DP is the solver's, and caches it.
+    Any other block runs its own DP over its ``2**|pm|`` submasks,
+    O(3**|pm|), on tables indexed by position that no one keeps: ``lift``
+    is :func:`_submasks` of ``pm``, mapping a position to its players.
+    """
+    if pm == g.full_mask:
+        _pass(g, g.n)
     entry = g._dp.get(g.n)
-    if entry is None:
-        return None
-    w, best, count = entry[1]
-    return w, best[g.n], count[g.n]
+    if entry is not None:
+        w, best, count = entry[1]
+        return (w, best[g.n], count[g.n]), None
+    lift = _submasks(pm)
+    v = g.dense_table()
+    w = _int_table([v[m] for m in lift])
+    return (w, *_dp(w)), lift
 
 
 def optimal_partition(g: Game) -> OptResult:

@@ -54,8 +54,7 @@ from .model import (
     as_value,
 )
 from .solver import (
-    _LISTING_CAP, _best_grouping, _check_listing, _split_tables, _ties, optimal_partition,
-    optimal_partition_bounded,
+    _LISTING_CAP, _block_tables, _check_listing, _tie_walk, _ties, optimal_partition_bounded,
 )
 
 
@@ -85,6 +84,7 @@ DHP = DefectionKind("dhp")
 
 
 def dp_k(k: int) -> DefectionKind:
+    """The ``dpk`` family: partitions with at most ``k`` blocks."""
     return DefectionKind("dpk", k)
 
 
@@ -192,7 +192,7 @@ STABLE = Verdict(True)
 
 def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     v = g.dense_table()
-    tables = _split_tables(g)
+    tables = _block_tables(g, g.full_mask)[0] if g.n in g._dp else None
     # Condition 1: inside each block, no pair of disjoint pieces may beat
     # (strict: tie) their union.  Pairs are anchored on the union's least
     # player so each unordered pair appears once.  A union's best split
@@ -243,10 +243,11 @@ def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
 def _splits_gain(tables, u: int, strict: bool) -> bool:
     """Does the best split of ``u`` beat (strict: tie) ``u`` whole?
 
-    Read off the unbounded pass's ``(w, best, count)``: a split beats
-    ``u`` exactly when ``best[u]`` passes ``w[u]``.  It ties ``u``
-    exactly when, besides, two or more groupings reach ``best[u]``, as
-    the DP counts a whole that ties its best split as one more grouping.
+    Read off the ``(w, best, count)`` :func:`_block_tables` gives, where
+    ``u`` is a mask or, with a ``lift``, a position: a split beats ``u``
+    exactly when ``best[u]`` passes ``w[u]``.  It ties ``u`` exactly
+    when, besides, two or more groupings reach ``best[u]``, as the DP
+    counts a whole that ties its best split as one more grouping.
     """
     w, best, count = tables
     return w[u] < best[u] or (strict and count[u] > 1)
@@ -357,31 +358,27 @@ def _gaining_splits(
     ``parts`` are the block's best grouping.  The dhp split scan and the
     dynamics split rule both run on it.
 
-    The unbounded pass's cached tables answer for each block and, for a
-    gaining block, give its best grouping without a DP; that grouping
-    leaves the block whole only when no split ties or beats it.  Without
-    them each block runs its own DP, except a block holding every player,
-    whose DP is the solver's: there the solver runs it and caches the
-    tables for later scans.  ``best`` is the sum of the game's values
-    over ``parts``.  Each block passes the split-scan cap before the
-    value table is read for it.
+    Each block passes the split-scan cap before the value table is read
+    for it, then reads its tables from :func:`_block_tables`: the split
+    test decides it, and for a gaining block the walk on the same tables,
+    from the block's own mask or top position, gives its best grouping,
+    which then cuts it.  ``best`` is the sum of the game's values over
+    ``parts``.
     """
-    tables = _split_tables(g)
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
         if size < 2:
             continue
         _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
-        if tables is None and pm == g.full_mask:
-            optimal_partition(g)
-            tables = _split_tables(g)
-        v = g.dense_table()
-        whole = v[pm]
-        if tables is not None and not _splits_gain(tables, pm, strict):
-            continue
-        best, parts = _best_grouping(v, pm, tables)
-        if whole < best or (strict and len(parts) > 1):
-            yield i, whole, best, parts
+        tables, lift = _block_tables(g, pm)
+        s = pm if lift is None else len(lift) - 1
+        if _splits_gain(tables, s, strict):
+            w, best, _ = tables
+            parts = next(_tie_walk(w, [best] * (size + 1), None, size, s))
+            if lift is not None:
+                parts = tuple(map(lift.__getitem__, parts))
+            v = g.dense_table()
+            yield i, v[pm], _welfare(v, parts), parts
 
 
 def _gaining_merges(
@@ -554,6 +551,9 @@ class CorollaryReport:
 
 
 def corollary_shortcuts(g: Game) -> CorollaryReport:
+    """Whether the grand and the all-singletons partitions are dc-stable,
+    and uniquely so, from the game's shape: up to two dc pair scans of the
+    grand block and one O(2**n) sweep of the singleton sums."""
     v = g.dense_table()
     sums = _singleton_sums([v[1 << i] for i in range(g.n)])
     # How far the singleton sums clear every coalition of two or more.

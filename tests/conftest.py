@@ -59,6 +59,17 @@ def tie_table(n: int, kind: str, seed: int) -> list:
     return [0] + [draw() for _ in range((1 << n) - 1)]
 
 
+def best_grouping(g: Game, pm: int):
+    """Block ``pm``'s best value and grouping: the strict dhp split scan's
+    best grouping when some split ties or beats the block, else the block
+    whole."""
+    from coalstab.stability import _gaining_splits
+
+    for _, _, best, parts in _gaining_splits(g, (pm,), True):
+        return best, parts
+    return g.dense_table()[pm], (pm,)
+
+
 def count_dp_calls(monkeypatch):
     """Count ``solver._dp`` passes from here on; returns the growing list."""
     import coalstab.solver as solver

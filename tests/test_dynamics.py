@@ -27,6 +27,7 @@ from coalstab import (
     Strategy,
     Transfer,
     applicable_rules,
+    as_value,
     check_dc,
     check_dhp,
     closure_outcomes,
@@ -413,3 +414,24 @@ class TestFormatting:
             )
             == "exchange {1} from {1,2} with {4} from {3,4} gain 1"
         )
+
+
+def test_gains_follow_as_value_on_a_fraction_game():
+    # Half-integer values whose differences are often integral: a gain
+    # reads 1, not Fraction(1, 1), as every value the package reports.
+    h = Fraction(1, 2)
+    g = Game(3, table=[0, h, h, 0, h, 3, h, h])
+    assert repr(applicable_rules(g, Partition.parse("{1,2} {3}"), ALL_RULES)) == (
+        "[Split(index=0, parts={1} {2}, gain=1),"
+        " Transfer(source=0, target=1, moved={1}, gain=3),"
+        " Transfer(source=0, target=1, moved={2}, gain=Fraction(1, 2))]"
+    )
+    assert repr(applicable_rules(g, Partition.singletons(3))) == "[Merge(indices=(0, 2), gain=2)]"
+    rng = random.Random(7)
+    g = Game(4, table=[0] + [Fraction(rng.randint(-4, 8), 2) for _ in range(15)])
+    seen = set()
+    for p in enumerate_partitions(4):
+        for a in applicable_rules(g, p, ALL_RULES):
+            assert type(a.gain) is type(as_value(a.gain))
+            seen.add((a.rule, type(a.gain)))
+    assert {rule for rule, kind in seen if kind is int} == set(RuleName)

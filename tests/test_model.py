@@ -389,6 +389,33 @@ class TestGame:
         with pytest.raises(ValueError):
             Game(2, table=[0, 1, 2, 3], rule=lambda m: 0)
 
+    def test_a_float_entry_is_refused(self):
+        with pytest.raises(TypeError, match="refusing float"):
+            Game(2, table=[0, 1.5, 2, 3])
+
+    def test_a_bool_entry_is_refused(self):
+        with pytest.raises(TypeError, match="booleans"):
+            Game(2, table=[0, True, 2, 3])
+
+    def test_a_table_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="needs 4 values, got 3"):
+            Game(2, table=[0, 1, 2])
+        with pytest.raises(ValueError, match="needs 4 values, got 5"):
+            Game(2, table=[0, 1, 2, 3, 4])
+
+    def test_a_nonzero_empty_set_value_is_refused(self):
+        # Kept, v[{}] = 5 would add 5 per block to the dc scan's piece sums.
+        with pytest.raises(ValueError, match="empty set"):
+            Game(3, table=[5, 1, 1, 5, 1, 2, 2, 3])
+
+    def test_table_entries_are_read_through_as_value(self):
+        v = [0, Fraction(1), Fraction(2, 4), "3/2"]
+        g = Game(2, table=v)
+        assert repr(g.dense_table()) == "[0, 1, Fraction(1, 2), Fraction(3, 2)]"
+        assert repr(v) == "[0, Fraction(1, 1), Fraction(1, 2), '3/2']"  # the caller's list
+        ints = [0, 1, 2, 3]
+        assert Game(2, table=ints).dense_table() is ints
+
     def test_player_count_bounds(self):
         with pytest.raises(ValueError):
             Game.from_table(0, {})

@@ -35,9 +35,9 @@ from coalstab import (
     optimal_partition_bounded,
 )
 from coalstab.model import _iter_partition_masks
-from coalstab.solver import _best_grouping, _split_tables
+from coalstab.solver import _block_tables
 from coalstab.stability import _splits_gain
-from conftest import witness_violates
+from conftest import best_grouping, witness_violates
 
 # Denominator 1 keeps ints in the tables; 7..23 are pairwise coprime, so
 # their lcm grows with every new one.
@@ -105,10 +105,10 @@ def test_solvers_agree_with_enumeration(case):
         assert got.witness.masks == min(q for q in fits if welfare(v, q) == top)
     # The cached tables give each mask's best grouping on the game's scale
     # and whether a split beats (strict: ties) the mask whole.
-    tables = _split_tables(g)
+    tables, _ = _block_tables(g, g.full_mask)
     for s in range(1, 1 << n):
         split = max((welfare(v, q) for q in _iter_partition_masks(s) if len(q) > 1), default=None)
-        assert _best_grouping(v, s, tables)[0] == (v[s] if split is None else max(v[s], split))
+        assert best_grouping(g, s)[0] == (v[s] if split is None else max(v[s], split))
         for strict in (False, True):
             gains = split is not None and (split > v[s] or (strict and split == v[s]))
             assert _splits_gain(tables, s, strict) == gains
@@ -203,8 +203,7 @@ def test_a_huge_lcm_runs_on_the_fractions():
     best = max(welfare(v, q) for q in groupings)
     assert res.optimum == best
     assert res.witness.masks == min(q for q in groupings if welfare(v, q) == best)
-    tables = _split_tables(g)
-    for x in [res.optimum] + [_best_grouping(v, s, tables)[0] for s in range(1, 16)]:
+    for x in [res.optimum] + [best_grouping(g, s)[0] for s in range(1, 16)]:
         assert_exact(x)
 
 
@@ -216,8 +215,8 @@ def test_value_types_on_a_mixed_table():
     v = [0, h, h, Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(3, 2), 1]
     g = Game(3, table=list(v))
     assert repr(optimal_partition(g)) == "OptResult(optimum=2, witness={1} {2,3})"
-    tables = _split_tables(g)
-    assert repr([_best_grouping(v, s, tables)[0] for s in range(1, 8)]) == (
+    tables, _ = _block_tables(g, g.full_mask)
+    assert repr([best_grouping(g, s)[0] for s in range(1, 8)]) == (
         "[Fraction(1, 2), Fraction(1, 2), 1, Fraction(2, 3), Fraction(7, 6), Fraction(3, 2), 2]"
     )
     for strict in (False, True):
@@ -254,14 +253,15 @@ def test_an_int_table_runs_as_it_is():
         restore()
     # One unbounded pass, which the listing reuses, and two layers.
     assert len(calls) == 3 and all(w is v for w in calls)
-    w, best, _ = _split_tables(g)
+    (w, best, _), _ = _block_tables(g, g.full_mask)
     assert w is v and all(type(x) is int for x in best)
 
 
 def test_a_witness_value_does_not_depend_on_the_cache():
     # The block {1,2} ties its split {1} {2}: on a fresh game its own DP
     # finds the split, on a solved one the cached tables do, and both
-    # report the parts' sum as as_value gives it.
+    # report the parts' sum as as_value gives it.  The game reads its
+    # table through as_value, so the block's own Fraction(2) reads 2 too.
     one, two = Fraction(1), Fraction(2)
     v = [0, one, one, two, one, two, two, Fraction(3)]
     pair = Partition.parse("{1,2} {3}")
@@ -270,7 +270,7 @@ def test_a_witness_value_does_not_depend_on_the_cache():
     optimal_partition(solved)
     for got in (fresh, check_strict_dhp(solved, pair)):
         assert repr(got.witness) == (
-            "BlockSplit(block_index=0, parts={1} {2}, whole_value=Fraction(2, 1), parts_value=2)"
+            "BlockSplit(block_index=0, parts={1} {2}, whole_value=2, parts_value=2)"
         )
 
 

@@ -46,9 +46,10 @@ from coalstab import (
     optimal_partition_bounded,
     random_game,
 )
-from coalstab.solver import _best_grouping, _split_tables
+from coalstab.model import _iter_partition_masks
+from coalstab.solver import _block_tables
 from coalstab.stability import _splits_gain
-from conftest import count_dp_calls, witness_violates
+from conftest import best_grouping, count_dp_calls, witness_violates
 
 CHECKS = (
     (check_dc, "dc", False),
@@ -152,14 +153,14 @@ def best_split(v, s):
 def assert_split_test(g, v):
     """The cached split test on every mask of two or more players against
     :func:`best_split`, and each mask's best grouping against both."""
-    tables = _split_tables(g)
-    assert tables is not None
+    assert g.n in g._dp
+    tables, _ = _block_tables(g, g.full_mask)
     for s in range(1, 1 << g.n):
         if s & (s - 1):
             split = best_split(v, s)
             assert _splits_gain(tables, s, False) == (split > v[s])
             assert _splits_gain(tables, s, True) == (split >= v[s])
-            assert _best_grouping(v, s, tables)[0] == max(v[s], split)
+            assert best_grouping(g, s)[0] == max(v[s], split)
 
 
 @settings(max_examples=60)
@@ -200,6 +201,76 @@ def test_the_split_test_on_every_mask(kind, n):
         for solve in order:
             solve(g)
         assert_split_test(g, v)
+
+
+def several_partitions(n):
+    """The grand partition, one player split off either end, the odd and
+    even players, and a seeded draw: blocks of every size up to n."""
+    full = (1 << n) - 1
+    odd = sum(1 << i for i in range(0, n, 2))
+    rng = random.Random(f"several|{n}")
+    drawn: "dict[int, int]" = {}
+    for player in range(n):
+        lab = rng.randrange(3)
+        drawn[lab] = drawn.get(lab, 0) | 1 << player
+    shapes = [(full,), (full >> 1, 1 << (n - 1)), (1, full ^ 1), (odd, full ^ odd), tuple(drawn.values())]
+    return [Partition(tuple(Coalition(m) for m in q if m)) for q in shapes]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_tables_match_enumeration_from_both_sources(kind, n):
+    # Each block's tables come from its own DP on a fresh game, indexed by
+    # position, and from the cached pass on a solved one, indexed by mask;
+    # the split test and the best grouping read off either match every
+    # grouping of the block.
+    v = seeded_table(kind, n)
+    for solved in (False, True):
+        for p in several_partitions(n):
+            g = Game(n, table=list(v))
+            if solved:
+                optimal_partition(g)
+            for pm in p.masks:
+                if not pm & (pm - 1):
+                    continue
+                tables, lift = _block_tables(g, pm)
+                if solved or pm == g.full_mask:
+                    assert lift is None
+                    u = pm
+                else:
+                    assert len(lift) == len(tables[0]) == 1 << pm.bit_count()
+                    u = len(lift) - 1
+                totals = {q: sum(v[m] for m in q) for q in _iter_partition_masks(pm)}
+                split = max(t for q, t in totals.items() if len(q) > 1)
+                assert _splits_gain(tables, u, False) == (split > v[pm])
+                assert _splits_gain(tables, u, True) == (split >= v[pm])
+                value, parts = best_grouping(g, pm)
+                assert value == max(totals.values()) == totals[parts]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dhp_witnesses_do_not_depend_on_the_cache(kind, n):
+    v = seeded_table(kind, n)
+    solved = Game(n, table=list(v))
+    optimal_partition(solved)
+    for p in enumerate_partitions(n):
+        for check in (check_dhp, check_strict_dhp):
+            assert repr(check(Game(n, table=list(v)), p)) == repr(check(solved, p))
+
+
+def test_dc_checks_on_a_fresh_game_run_no_dp(monkeypatch):
+    calls = count_dp_calls(monkeypatch)
+    for kind in ("int", "fraction", "tie", "zero"):
+        for n in range(2, 9):
+            g = Game(n, table=seeded_table(kind, n))
+            for p in several_partitions(n):
+                check_dc(g, p)
+                check_dc_strict(g, p)
+            is_superadditive(g)
+            corollary_shortcuts(g)
+            assert g._dp == {}
+    assert calls == []
 
 
 def test_scans_on_a_fresh_game_build_no_table():
