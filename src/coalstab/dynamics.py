@@ -113,7 +113,10 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in ("first", "best", "random"):
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if (self.kind == "random") != (self.seed is not None):
+        if self.kind == "random":
+            if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+                raise TypeError("random strategy seed must be an int")
+        elif self.seed is not None:
             raise ValueError("exactly the random strategy takes a seed")
 
 
@@ -124,8 +127,6 @@ BEST_GAIN = Strategy("best")
 def random_strategy(seed: int) -> Strategy:
     """The strategy that draws uniformly among applicable rules, seeded by
     ``seed`` afresh on every :func:`iterate` call."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError("random strategy seed must be an int")
     return Strategy("random", seed)
 
 
@@ -301,9 +302,14 @@ def is_closed(g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT
     return next(_edges(g, p.masks, _coerce_rules(rules)), None) is None
 
 
-def _check(pmasks: "tuple[int, ...]", a: RuleApplication) -> None:
-    """The structural checks of :func:`step`, on block masks."""
-    count = len(pmasks)
+def step(p: Partition, a: RuleApplication) -> Partition:
+    """Apply one rewrite to ``p``.  This is the one place an application
+    is validated: its payload indices and coalitions are checked against
+    ``p``'s blocks (``ValueError``; ``TypeError`` for anything that is not
+    a rule application) before the rewrite; gains are the caller's
+    concern."""
+    blocks = list(p.masks)
+    count = len(blocks)
     if isinstance(a, Merge):
         idxs = a.indices
         if (
@@ -312,61 +318,42 @@ def _check(pmasks: "tuple[int, ...]", a: RuleApplication) -> None:
             or not all(0 <= i < count for i in idxs)
         ):
             raise ValueError("merge needs two or more distinct ascending block indices in range")
+        union = 0
+        for i in reversed(idxs):
+            union |= blocks.pop(i)
+        blocks.append(union)
     elif isinstance(a, Split):
         if not 0 <= a.index < count:
             raise ValueError("split index out of range")
-        if len(a.parts) < 2 or a.parts.union_mask != pmasks[a.index]:
+        if len(a.parts) < 2 or a.parts.union_mask != blocks[a.index]:
             raise ValueError("split parts must cut the block into two or more pieces")
+        blocks.pop(a.index)
+        blocks += a.parts.masks
     elif isinstance(a, Transfer):
         i, j = a.source, a.target
         if not (0 <= i < count and 0 <= j < count) or i == j:
             raise ValueError("transfer needs two distinct block indices in range")
-        src, m = pmasks[i], a.moved.mask
-        if m & ~src or m == src:
+        m = a.moved.mask
+        if m & ~blocks[i] or m == blocks[i]:
             raise ValueError("transfer payload must be a proper nonempty subset of the source block")
+        blocks[i] ^= m
+        blocks[j] |= m
     elif isinstance(a, Exchange):
         i, j = a.first, a.second
         if not (0 <= i < count and 0 <= j < count) or i == j:
             raise ValueError("exchange needs two distinct block indices in range")
-        bi, bj = pmasks[i], pmasks[j]
+        bi, bj = blocks[i], blocks[j]
         u1, u2 = a.from_first.mask, a.from_second.mask
         if u1 & ~bi or u1 == bi or u2 & ~bj or u2 == bj:
             raise ValueError("exchange payloads must be proper nonempty subsets of their blocks")
-    else:
-        raise TypeError(f"not a rule application: {a!r}")
-
-
-def _apply(pmasks: "tuple[int, ...]", a: RuleApplication) -> "tuple[int, ...]":
-    """The block masks after one rewrite that passes :func:`_check`,
-    sorted by least member."""
-    blocks = list(pmasks)
-    if isinstance(a, Merge):
-        union = 0
-        for i in reversed(a.indices):
-            union |= blocks.pop(i)
-        blocks.append(union)
-    elif isinstance(a, Split):
-        blocks.pop(a.index)
-        blocks += a.parts.masks
-    elif isinstance(a, Transfer):
-        blocks[a.source] ^= a.moved.mask
-        blocks[a.target] |= a.moved.mask
-    else:
         # The payloads are disjoint and each sits in its own block, so
         # swapping them flips the same bits in both blocks.
-        swapped = a.from_first.mask | a.from_second.mask
-        blocks[a.first] ^= swapped
-        blocks[a.second] ^= swapped
-    blocks.sort(key=lambda m: m & -m)
-    return tuple(blocks)
-
-
-def step(p: Partition, a: RuleApplication) -> Partition:
-    """Apply one rewrite to ``p``; payload indices and coalitions are
-    validated structurally (``ValueError``; ``TypeError`` for anything
-    that is not a rule application), gains are the caller's concern."""
-    _check(p.masks, a)
-    return Partition(tuple(map(Coalition, _apply(p.masks, a))))
+        blocks[i] ^= u1 | u2
+        blocks[j] ^= u1 | u2
+    else:
+        raise TypeError(f"not a rule application: {a!r}")
+    blocks.sort(key=_least)
+    return Partition(tuple(map(Coalition, blocks)))
 
 
 @dataclass(frozen=True)

@@ -155,13 +155,9 @@ def _lines(text: str) -> "list[str]":
 
 def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     """Parse a game document into a Game and its named partitions."""
-    representation = None
-    n = None
-    n_line = 0
-    default_entry: "tuple[int, str] | None" = None
+    # Each header key written once: its line and value (``n`` parsed).
+    header: "dict[str, tuple[int, str | int]]" = {}
     value_entries: "list[tuple[int, str, str]]" = []
-    family = None
-    family_line = 0
     raw_params: "dict[str, str]" = {}
     param_lines: "dict[str, int]" = {}
     partition_entries: "dict[str, tuple[int, str]]" = {}
@@ -181,33 +177,22 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             if arg is None:
                 raise ParseError(f"line {lineno}: value lines look like 'value {{1,2}}: 5'")
             value_entries.append((lineno, arg, tail))
-        elif key == "representation" and arg is None:
-            if representation is not None:
-                raise ParseError(f"line {lineno}: duplicate representation line")
-            if tail not in ("table", "rule"):
+        elif key in ("representation", "n", "default", "family") and arg is None:
+            if key in header:
+                raise ParseError(f"line {lineno}: duplicate {key} line")
+            if key == "representation" and tail not in ("table", "rule"):
                 raise ParseError(f"line {lineno}: representation must be 'table' or 'rule'")
-            representation = tail
-        elif key == "n" and arg is None:
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate n line")
-            try:
-                n = _parse_int(tail, "n")
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            n_line = lineno
-        elif key == "default" and arg is None:
-            if default_entry is not None:
-                raise ParseError(f"line {lineno}: duplicate default line")
-            default_entry = (lineno, tail)
-        elif key == "family" and arg is None:
-            if family is not None:
-                raise ParseError(f"line {lineno}: duplicate family line")
-            if tail not in FAMILIES:
+            if key == "family" and tail not in FAMILIES:
                 raise ParseError(
                     f"line {lineno}: unknown family {tail!r}; valid: {', '.join(FAMILIES)}"
                 )
-            family = tail
-            family_line = lineno
+            if key == "n":
+                try:
+                    header[key] = (lineno, _parse_int(tail, "n"))
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from exc
+            else:
+                header[key] = (lineno, tail)
         elif key == "param":
             if arg is None:
                 raise ParseError(f"line {lineno}: param lines look like 'param n: 3'")
@@ -224,10 +209,13 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
         else:
             raise ParseError(f"line {lineno}: unknown key {head.strip()!r}")
 
-    if representation is None:
+    if "representation" not in header:
         raise ParseError("missing 'representation: table' or 'representation: rule' line")
+    n_line, n = header.get("n", (0, None))
+    family_line, family = header.get("family", (0, None))
+    default_entry = header.get("default")
 
-    if representation == "table":
+    if header["representation"][1] == "table":
         if family is not None or raw_params:
             first = min(ln for ln in (family_line, *param_lines.values()) if ln)
             raise ParseError(f"line {first}: table documents do not take family/param lines")
@@ -271,8 +259,6 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             raise ParseError("rule documents need a 'family:' line")
         try:
             game = build_family(family, raw_params)
-        except ParseError:
-            raise
         except _BadParam as exc:
             raise ParseError(f"line {param_lines[exc.name]}: {exc}") from exc
         except (TypeError, ValueError) as exc:

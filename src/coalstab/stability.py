@@ -306,15 +306,22 @@ def _validate_bound(g: Game, p: Partition, k: int) -> None:
         )
 
 
-def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
-    """Is ``p`` welfare-maximal among partitions with at most ``k`` blocks?"""
+def _dp_k_scan(g: Game, p: Partition, k: int, strict: bool) -> Verdict:
+    # Every refusal, and the strict check's tie count, comes before p's
+    # welfare, the plain check's first read of the value table.
     _check_partition(g, p)
     _validate_bound(g, p, k)
+    tied = _ties(g, k)[1] if strict else None
     res = optimal_partition_bounded(g, k)
     swp = _welfare(g.dense_table(), p.masks)
-    if swp == res.optimum:
-        return STABLE
-    return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
+    if swp < res.optimum:
+        return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
+    return _rival(g, p, tied) if strict else STABLE
+
+
+def check_dp_k(g: Game, p: Partition, k: int) -> Verdict:
+    """Is ``p`` welfare-maximal among partitions with at most ``k`` blocks?"""
+    return _dp_k_scan(g, p, k, False)
 
 
 def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
@@ -325,14 +332,7 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
     on a tie it is the first other maximizer in enumeration order, found
     by a walk over the tied partitions, hence the partition enumeration
     cap."""
-    _check_partition(g, p)
-    _validate_bound(g, p, k)
-    _, tied = _ties(g, k)
-    swp = _welfare(g.dense_table(), p.masks)
-    res = optimal_partition_bounded(g, k)
-    if swp < res.optimum:
-        return Verdict(False, DefectingCollection(res.witness, swp, res.optimum))
-    return _rival(g, p, tied)
+    return _dp_k_scan(g, p, k, True)
 
 
 # ---------------------------------------------------------------------------

@@ -122,12 +122,13 @@ def test_entry_point_runs_at_its_cap(call):
         lambda g: check_strict_dp(g, Partition.grand(g.n)),
         lambda g: check_dp(g, Partition.grand(g.n)),
         lambda g: check_dp_k(g, Partition.grand(g.n), 2),
+        lambda g: check_dp_k_strict(g, Partition.grand(g.n), 2),
         lambda g: applicable_rules(g, Partition.grand(g.n), ["split"]),
         lambda g: is_closed(g, Partition.grand(g.n), ["split"]),
     ],
     ids=[
         "definitional_dc", "definitional_dp", "dhp_split", "strict_dp", "dp", "dp_k",
-        "applicable_rules_split", "is_closed_split",
+        "dp_k_strict", "applicable_rules_split", "is_closed_split",
     ],
 )
 def test_refusal_evaluates_no_coalition(check):

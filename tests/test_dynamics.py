@@ -44,7 +44,7 @@ from coalstab import (
     step,
     trace_lines,
 )
-from coalstab.dynamics import _apply, _coerce_rules, _edges
+from coalstab.dynamics import _coerce_rules, _edges
 
 EXA_1 = example_game("exa-1")
 EXA_MISS = example_game("exa-miss")
@@ -161,7 +161,7 @@ class TestEdges:
                 rules = _coerce_rules(rules)
                 cuts = {}
                 for p in starts:
-                    expect = [_apply(p.masks, a) for a in applicable_rules(g, p, rules)]
+                    expect = [step(p, a).masks for a in applicable_rules(g, p, rules)]
                     for table in (None, cuts):
                         assert [e[0] for e in _edges(g, p.masks, rules, table)] == expect
 
@@ -314,6 +314,14 @@ class TestIterate:
             Strategy("first", seed=1)  # seed only makes sense for random
         assert random_strategy(3).seed == 3
         assert FIRST_APPLICABLE.kind == "first"
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "x"])
+    def test_random_seed_must_be_an_int(self, seed):
+        # The constructor checks the seed, so a float or a bool seed never
+        # reaches iterate.
+        for make in (lambda: Strategy("random", seed), lambda: random_strategy(seed)):
+            with pytest.raises(TypeError, match="^random strategy seed must be an int$"):
+                make()
 
 
 class TestClosureOutcomes:

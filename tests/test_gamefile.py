@@ -427,13 +427,55 @@ TABLE_ERRORS = [
     ('representation: table\nrepresentation: rule\nn: 2\nn: 3\n',
      'line 2: duplicate representation line'),
     (H + 'value {1}: 1\nfamily: example\nvalue {x}: 1\n',
-     'line 5: table documents do not take family/param lines'),    (H + 'value {1}: 1\nparam n: 3\nfamily: example\n',
+     'line 5: table documents do not take family/param lines'),
+    (H + 'value {1}: 1\nparam n: 3\nfamily: example\n',
      'line 5: table documents do not take family/param lines'),
 ]
 
 
 @pytest.mark.parametrize("doc,message", TABLE_ERRORS)
 def test_table_document_error_messages(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_game(doc)
+    assert str(info.value) == message
+
+
+R = "representation: rule\n"
+E = R + "family: example\nparam name: exa-a\n"
+RULE_ERRORS = [
+    (E + 'family: example\n',
+     'line 4: duplicate family line'),
+    (R + 'family: sudoku\n',
+     "line 2: unknown family 'sudoku'; valid: example, generalized_odd, partition_power, transportation, random"),
+    (R + 'param n: 3\n',
+     "rule documents need a 'family:' line"),
+    (E + 'value {1}: 2\n',
+     'line 4: rule documents do not take value/default lines'),
+    (E + 'default: 0\n',
+     'line 4: rule documents do not take value/default lines'),
+    (E + 'default: 0\nvalue {1}: 2\n',
+     'line 5: rule documents do not take value/default lines'),
+    (R + 'n extra: 3\n',
+     "line 2: unknown key 'n extra'"),
+    ('representation x: rule\n',
+     "line 1: unknown key 'representation x'"),
+    (E + 'default d: 0\n',
+     "line 4: unknown key 'default d'"),
+    (R + 'family f: example\n',
+     "line 2: unknown key 'family f'"),
+    # Two bad header lines: the first line in the document that is bad wins,
+    # and a repeated key is refused before its value is looked at.
+    (R + 'family: example\nfamily: sudoku\n',
+     'line 3: duplicate family line'),
+    (R + 'n: x\nfamily: sudoku\n',
+     "line 2: n must be an integer, got 'x'"),
+    (R + 'family: sudoku\nn: 3\nn: 4\n',
+     "line 2: unknown family 'sudoku'; valid: example, generalized_odd, partition_power, transportation, random"),
+]
+
+
+@pytest.mark.parametrize("doc,message", RULE_ERRORS)
+def test_rule_document_error_messages(doc, message):
     with pytest.raises(ParseError) as info:
         parse_game(doc)
     assert str(info.value) == message

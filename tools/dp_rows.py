@@ -28,7 +28,10 @@ partition under merge and split, and at ``{1..11} {12}`` under the
 split rule alone.  Two time
 ``closure_outcomes`` from the singletons of an 8-player strictly
 superadditive table, where every one of the Bell(8) partitions is
-reachable: under merge and split, and under all four rules.
+reachable: under merge and split, and under all four rules.  One times
+``parse_game`` on the 14-player int table's document, as
+``serialize_game`` writes it, in the form the benchmark's ``solve``
+workload parses for its random 0..100 tables.
 Each run calls a fresh game over a table built beforehand, so a row is
 the DP, its tie walk and its cached tables, not the table's construction.
 ``SRC_DIR`` (default: this repository's ``src``) is the package to time.
@@ -61,6 +64,8 @@ from coalstab import (  # noqa: E402
     is_closed,
     optimal_partition,
     optimal_partition_bounded,
+    parse_game,
+    serialize_game,
     transportation_game,
 )
 
@@ -147,6 +152,8 @@ def main() -> None:
     closure = lambda rules: lambda g: closure_outcomes(g, Partition.singletons(g.n), rules)
     bounded3 = lambda g: optimal_partition_bounded(g, 3)
     grand_dhp = lambda g: (check_dhp(g, Partition.grand(g.n)), check_strict_dhp(g, Partition.grand(g.n)))
+    doc = serialize_game(Game(14, table=int_table(14)))
+    parse = lambda g: parse_game(doc)
     rows = [
         ("int table, n = 12", 12, int_table(12), optimal_partition),
         ("int table, n = 14", 14, int_table(14), optimal_partition),
@@ -162,6 +169,7 @@ def main() -> None:
         ("is_closed split, {1..11} {12}", 12, superadditive_table(12), split_closed),
         ("closure merge/split, n = 8", 8, superadditive_table(8), closure(DEFAULT_RULES)),
         ("closure all rules, n = 8", 8, superadditive_table(8), closure(ALL_RULES)),
+        ("parse_game int table, n = 14", 14, int_table(14), parse),
     ]
     print(f"coalstab from {SRC}")
     for label, n, table, call, *prep in rows:
