@@ -28,12 +28,12 @@ from .model import (
     _check_partition,
     _Coalitions,
     _from_masks,
-    _partitions,
     _submasks,
     as_value,
     format_value,
     social_welfare,
 )
+from .solver import _cut_walk
 from .stability import _gaining_merges, _gaining_splits, _indices
 
 CLOSURE_CAP = 8
@@ -165,10 +165,10 @@ def _edges(
 
     Merges come from the dhp merge scan, index subsets ascending by bit
     pattern; the union takes the place of its lowest block, so the child
-    needs no sort.  Splits scan blocks ascending and, per block that can
-    gain, the ways of cutting it in restricted-growth order, the parts
-    taking the block's place; whether a block can gain is decided by the
-    dhp split scan, so a block without a gaining cut lists none.
+    needs no sort.  Splits scan blocks ascending and, per block that the
+    dhp split scan finds can gain, its gaining cuts in restricted-growth
+    order, walked off the tables that decided it, the parts taking the
+    block's place.
     Transfers scan ordered block pairs and moved subsets ascending;
     exchanges scan unordered block pairs with both swapped subsets
     ascending; each rewrites two blocks of the parent and sorts.  A caller
@@ -248,22 +248,17 @@ def _rewrite(pmasks: "tuple[int, ...]", i: int, bi: int, j: int, bj: int) -> "tu
 def _gaining_cuts(g: Game, pm: int) -> "Iterator[tuple[tuple[int, ...], Value]]":
     """Every cut of block ``pm`` into two or more parts worth more than the
     block, as ``(parts, gain)`` in restricted-growth order, or none when
-    the dhp split scan finds that no cut gains.  Cuts are enumerated over
-    the block's own positions and read a block-local table; only a gaining
-    cut is mapped to players."""
-    for _, whole, _, _ in _gaining_splits(g, (pm,), False):
-        sub = _submasks(pm)
+    the dhp split scan finds that no cut gains.  The cuts are walked off
+    the tables that decided the block (:func:`solver._cut_walk`), so the
+    cost grows with their number; each is then mapped to players."""
+    for _, (w, best, _), s, lift in _gaining_splits(g, (pm,), False):
         v = g.dense_table()
-        w = [v[m] for m in sub]
-        for parts in _partitions(pm.bit_count()):
-            if len(parts) < 2:
-                continue
-            total: Value = 0
+        for parts in _cut_walk(w, best, s, w[s]):
+            parts = parts if lift is None else tuple(map(lift.__getitem__, parts))
+            gain = -v[pm]
             for m in parts:
-                total += w[m]
-            gain = total - whole
-            if gain > 0:
-                yield tuple(map(sub.__getitem__, parts)), gain
+                gain += v[m]
+            yield parts, gain
 
 
 def _application(rule: RuleName, fields, gain: Value, coalitions: _Coalitions) -> RuleApplication:

@@ -252,9 +252,9 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             )
         game = Game(n, table=dense)
     else:
-        if value_entries or default_entry is not None:
-            bad = value_entries[0][0] if value_entries else default_entry[0]  # type: ignore[index]
-            raise ParseError(f"line {bad}: rule documents do not take value/default lines")
+        bad = [entry[0] for entry in (default_entry, *value_entries[:1]) if entry]
+        if bad:
+            raise ParseError(f"line {min(bad)}: rule documents do not take value/default lines")
         if family is None:
             raise ParseError("rule documents need a 'family:' line")
         try:

@@ -14,7 +14,6 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 MAX_PLAYERS = 20
@@ -591,14 +590,11 @@ def is_homogeneous(q: Partition, p: Partition) -> bool:
 # Exhaustive enumeration.  Partitions of positions 0..k-1 (position i is
 # bit i) come from one recurrence, in restricted-growth order: each
 # partition of the first k-1 positions places position k-1 into each of
-# its blocks in turn, then into a block of its own.  The tables for k <= 9
-# are cached keyed by k alone, one per size: the 9-position table holds
-# Bell(9) = 21 147 tuples, about 2.3 MB, and all ten about 2.7 MB.  Larger
-# sets extend the 9-position table lazily.  Any other set of k players
-# maps positions to players through ``_submasks``.  The raw generators work
-# on mask tuples and back the definitional stability oracles and the
-# dynamics split rule; the public enumerate_* functions wrap them in model
-# objects.
+# its blocks in turn, then into a block of its own.  The recurrence runs
+# lazily and keeps nothing, in O(k) memory.  Any other set of k players
+# maps positions to players through ``_submasks``.  The raw generators
+# work on mask tuples and back the definitional stability oracles; the
+# public enumerate_* functions wrap them in model objects.
 
 
 def _submasks(mask: int) -> list[int]:
@@ -614,31 +610,16 @@ def _submasks(mask: int) -> list[int]:
     return table
 
 
-def _extend(parts: "tuple[int, ...]", bit: int) -> "list[tuple[int, ...]]":
-    """Place the position ``bit`` into each block of ``parts`` in turn, then
-    into a block of its own; restricted-growth order in, the same order
-    out."""
-    out = [parts[:j] + (m | bit,) + parts[j + 1:] for j, m in enumerate(parts)]
-    out.append(parts + (bit,))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _small_partitions(k: int) -> "tuple[tuple[int, ...], ...]":
-    """Every partition of positions 0..k-1, k <= 9, as block-mask tuples."""
+def _partitions(k: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of positions 0..k-1, restricted-growth order."""
     if k == 0:
-        return ((),)
+        yield ()
+        return
     bit = 1 << (k - 1)
-    return tuple(q for parts in _small_partitions(k - 1) for q in _extend(parts, bit))
-
-
-def _partitions(k: int) -> "Iterable[tuple[int, ...]]":
-    """Every partition of positions 0..k-1, restricted-growth order: the
-    cached table up to 9 positions, a lazy extension of it past that."""
-    if k <= 9:
-        return _small_partitions(k)
-    bit = 1 << (k - 1)
-    return (q for parts in _partitions(k - 1) for q in _extend(parts, bit))
+    for parts in _partitions(k - 1):
+        for j, m in enumerate(parts):
+            yield parts[:j] + (m | bit,) + parts[j + 1:]
+        yield parts + (bit,)
 
 
 def _iter_partition_masks(mask: int) -> Iterable[tuple[int, ...]]:

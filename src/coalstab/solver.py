@@ -214,6 +214,36 @@ def _tie_walk(w, best, count, j: int, s: int):
             heappush(heap, (key + digits[s ^ tm] if digits else 0, blocks + (tm,), s ^ tm, j - 1))
 
 
+def _cut_walk(w, best, s: int, floor):
+    """Every grouping of ``s`` worth more than ``floor`` on ``w``, as
+    block tuples, least member first, in enumeration order.
+
+    ``best`` is the unbounded pass's table over ``w``.  A node places
+    blocks by least member and keeps a block ``t`` of its rest ``r`` only
+    while ``acc + w[t] + best[r ^ t]`` passes ``floor``, ``acc`` being
+    what its blocks are worth: the bound is exact, so every node kept
+    completes and the cost grows with the output.  The nodes run best
+    first on a heap keyed as in :func:`_tie_walk`, so the groupings come
+    out in order and the first costs far less than the whole list.  The
+    grouping that ends with the whole rest has the node's own key, below
+    every other on the heap, so it comes out as the node is popped.  With
+    ``floor = w[s]`` the grouping of ``s`` whole is left out.
+    """
+    digits = _digits(len(w).bit_length() - 1)
+    heap = [(0, 0, (), s)]
+    while heap:
+        key, acc, blocks, r = heappop(heap)
+        if acc + w[r] > floor:
+            yield blocks + (r,)
+        rest = u = r ^ (r & -r)
+        while u:
+            t = r ^ u
+            total = acc + w[t]
+            if total + best[u] > floor:
+                heappush(heap, (key + digits[u], total, blocks + (t,), u))
+            u = (u - 1) & rest
+
+
 @lru_cache(maxsize=None)
 def _digits(n: int) -> "list[int]":
     """Each mask's players as base-n digits, player 1 the leading one:

@@ -339,31 +339,32 @@ def check_dp_k_strict(g: Game, p: Partition, k: int) -> Verdict:
 # dhp: stability against merge/split rearrangements of p itself
 
 
-def _dhp_scan(g: Game, p: Partition, strict: bool) -> Verdict:
+def _dhp_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     # Splits first, then merges: the first gaining (strict: tying)
-    # rearrangement of either kind is the witness.
-    for i, whole, best, parts in _gaining_splits(g, p.masks, strict):
-        return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), whole, best))
-    for tmask, _, separate, merged in _gaining_merges(g.dense_table(), p.masks, strict):
+    # rearrangement of either kind is the witness.  A split witness is its
+    # block's best grouping, walked off the tables that decided the block.
+    for i, (w, best, _), s, lift in _gaining_splits(g, pmasks, strict):
+        size = s.bit_count()
+        parts = next(_tie_walk(w, [best] * (size + 1), None, size, s))
+        parts = parts if lift is None else tuple(map(lift.__getitem__, parts))
+        v = g.dense_table()
+        return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), v[pmasks[i]], _welfare(v, parts)))
+    for tmask, _, separate, merged in _gaining_merges(g.dense_table(), pmasks, strict):
         return Verdict(False, BlockMerge(_indices(tmask), as_value(separate), as_value(merged)))
     return STABLE
 
 
-def _gaining_splits(
-    g: Game, pmasks: "tuple[int, ...]", strict: bool
-) -> "Iterator[tuple[int, Value, Value, tuple[int, ...]]]":
+def _gaining_splits(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Iterator[tuple]:
     """Every block of two or more players with a cut into two or more
     parts worth more (strict: at least as much) than the block, as
-    ``(index, whole, best, parts)``, blocks in order: ``best`` and
-    ``parts`` are the block's best grouping.  The dhp split scan and the
-    dynamics split rule both run on it.
+    ``(index, tables, s, lift)``, blocks in order: ``tables`` and
+    ``lift`` are :func:`_block_tables`' for the block, and ``s`` is the
+    block in the tables' indexing, its mask or its top position.  The dhp
+    split scan walks the first such block's best grouping off them, and
+    the dynamics split rule lists each one's gaining cuts.
 
     Each block passes the split-scan cap before the value table is read
-    for it, then reads its tables from :func:`_block_tables`: the split
-    test decides it, and for a gaining block the walk on the same tables,
-    from the block's own mask or top position, gives its best grouping,
-    which then cuts it.  ``best`` is the sum of the game's values over
-    ``parts``.
+    for it, then reads its tables, on which the split test decides it.
     """
     for i, pm in enumerate(pmasks):
         size = pm.bit_count()
@@ -373,12 +374,7 @@ def _gaining_splits(
         tables, lift = _block_tables(g, pm)
         s = pm if lift is None else len(lift) - 1
         if _splits_gain(tables, s, strict):
-            w, best, _ = tables
-            parts = next(_tie_walk(w, [best] * (size + 1), None, size, s))
-            if lift is not None:
-                parts = tuple(map(lift.__getitem__, parts))
-            v = g.dense_table()
-            yield i, v[pm], _welfare(v, parts), parts
+            yield i, tables, s, lift
 
 
 def _gaining_merges(
@@ -422,7 +418,7 @@ def _indices(tmask: int) -> "tuple[int, ...]":
 def check_dhp(g: Game, p: Partition) -> Verdict:
     """Is ``p`` stable against every merge/split rearrangement of itself?"""
     _check_partition(g, p)
-    return _dhp_scan(g, p, False)
+    return _dhp_scan(g, p.masks, False)
 
 
 def check_strict_dhp(g: Game, p: Partition) -> Verdict:
@@ -434,7 +430,7 @@ def check_strict_dhp(g: Game, p: Partition) -> Verdict:
     only merges whole blocks (caught by the sharp merge scan).
     """
     _check_partition(g, p)
-    return _dhp_scan(g, p, True)
+    return _dhp_scan(g, p.masks, True)
 
 
 # ---------------------------------------------------------------------------

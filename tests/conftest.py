@@ -63,11 +63,12 @@ def best_grouping(g: Game, pm: int):
     """Block ``pm``'s best value and grouping: the strict dhp split scan's
     best grouping when some split ties or beats the block, else the block
     whole."""
-    from coalstab.stability import _gaining_splits
+    from coalstab.stability import _dhp_scan
 
-    for _, _, best, parts in _gaining_splits(g, (pm,), True):
-        return best, parts
-    return g.dense_table()[pm], (pm,)
+    verdict = _dhp_scan(g, (pm,), True)
+    if verdict.stable:
+        return g.dense_table()[pm], (pm,)
+    return verdict.witness.parts_value, verdict.witness.parts.masks
 
 
 def count_dp_calls(monkeypatch):

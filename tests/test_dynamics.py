@@ -13,6 +13,7 @@ from coalstab import (
     CLOSURE_CAP,
     DEFAULT_RULES,
     FIRST_APPLICABLE,
+    EXAMPLE_NAMES,
     CapExceededError,
     Coalition,
     Collection,
@@ -443,3 +444,40 @@ def test_gains_follow_as_value_on_a_fraction_game():
             assert type(a.gain) is type(as_value(a.gain))
             seen.add((a.rule, type(a.gain)))
     assert {rule for rule, kind in seen if kind is int} == set(RuleName)
+
+
+def one_cut_table(n):
+    """``10·|S|²``, except that the first half of the players and the rest
+    together are worth one more than the grand coalition: of every cut
+    of the grand coalition, only that one gains."""
+    v = [10 * m.bit_count() ** 2 for m in range(1 << n)]
+    full, half = (1 << n) - 1, (1 << n // 2) - 1
+    v[half], v[full ^ half] = v[full] // 2 + 1, v[full] // 2
+    return v
+
+
+def test_the_dynamics_never_enumerate_partitions(monkeypatch):
+    # The split rule lists its cuts off the block's DP tables, so every
+    # dynamics entry point runs with the partition enumeration broken.
+    import coalstab.model as model
+
+    def refuse(k):
+        raise AssertionError(f"partitions of {k} positions enumerated")
+
+    monkeypatch.setattr(model, "_partitions", refuse)
+    games = [example_game(name) for name in EXAMPLE_NAMES]
+    games.append(random_game(GeneratorSpec(8, GameClass.GENERAL, 0, 6, 3)))
+    for g in games:
+        grand, singletons = Partition.grand(g.n), Partition.singletons(g.n)
+        applicable_rules(g, grand, ALL_RULES)
+        for start in (grand, singletons):
+            for strategy in (FIRST_APPLICABLE, BEST_GAIN, random_strategy(1)):
+                assert is_closed(g, iterate(g, start, strategy).final)
+        closure_outcomes(g, singletons)
+    assert len(applicable_rules(games[-1], Partition.grand(8), ["split"])) > 1000
+    # Of Bell(12) = 4 213 597 cuts, the one that gains comes out alone.
+    g = Game(12, table=one_cut_table(12))
+    half = Coalition.of(*range(1, 7))
+    assert applicable_rules(g, Partition.grand(12), ["split"]) == [
+        Split(0, Collection((half, Coalition(g.full_mask ^ half.mask))), 1)
+    ]

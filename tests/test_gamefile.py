@@ -454,7 +454,9 @@ RULE_ERRORS = [
     (E + 'default: 0\n',
      'line 4: rule documents do not take value/default lines'),
     (E + 'default: 0\nvalue {1}: 2\n',
-     'line 5: rule documents do not take value/default lines'),
+     'line 4: rule documents do not take value/default lines'),
+    (E + 'value {1}: 2\ndefault: 0\n',
+     'line 4: rule documents do not take value/default lines'),
     (R + 'n extra: 3\n',
      "line 2: unknown key 'n extra'"),
     ('representation x: rule\n',

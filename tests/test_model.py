@@ -538,60 +538,14 @@ class TestEnumeration:
         expect = [Collection(_blocks(players, s)) for s in _rgs_strings(6)]
         assert list(enumerate_partitions(Coalition.from_members(players))) == expect
 
-    def test_past_the_cached_sizes(self):
-        # ten players are extended lazily from the nine-player table
+    def test_ten_players(self):
+        # Bell(10) distinct partitions; the first and last match the reference
         got = [p.masks for p in enumerate_partitions(10)]
         assert len(set(got)) == len(got) == bell(10)
         reference = _rgs_strings(10)
         assert got[0] == Partition(_blocks(range(1, 11), next(reference))).masks
         (ref_last,) = deque(reference, maxlen=1)
         assert got[-1] == Partition(_blocks(range(1, 11), ref_last)).masks
-
-    def test_split_scans_keep_one_table_per_size(self):
-        # thirty distinct 9-player blocks share the 9-position table; none
-        # is cached per block
-        from itertools import combinations, islice
-
-        from coalstab import is_closed
-        from coalstab.model import _small_partitions
-
-        g = Game.from_table(12, {})
-        for members in islice(combinations(range(1, 13), 9), 0, 150, 5):
-            block = Coalition.from_members(members)
-            rest = Coalition(g.full_mask ^ block.mask)
-            assert is_closed(g, Partition((block, rest)), ["split"])
-        assert _small_partitions.cache_info().currsize <= 10
-
-    def test_shared_tables_built_from_many_threads(self):
-        # the per-size tables are built cold by racing threads, each of
-        # which enumerates a different 8-player coalition
-        from coalstab.model import _small_partitions
-
-        workers = 8
-        groups = [
-            [p for p in range(1, 11) if p not in (i + 1, (i + 3) % 10 + 1)] for i in range(workers)
-        ]
-        results = [None] * workers
-        barrier = threading.Barrier(workers)
-
-        def work(i):
-            barrier.wait(timeout=30)
-            results[i] = list(enumerate_partitions(Coalition.from_members(groups[i])))
-
-        _small_partitions.cache_clear()
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for players, got in zip(groups, results):
-            assert got == [Collection(_blocks(players, s)) for s in _rgs_strings(8)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_collection_counts(self, n):

@@ -47,7 +47,8 @@ from coalstab import (
     random_game,
 )
 from coalstab.model import _iter_partition_masks
-from coalstab.solver import _block_tables
+from coalstab.dynamics import _gaining_cuts
+from coalstab.solver import _SCALE_BITS, _block_tables, _int_table
 from coalstab.stability import _splits_gain
 from conftest import best_grouping, count_dp_calls, witness_violates
 
@@ -177,13 +178,20 @@ def test_the_table_holds_each_masks_best_split(case):
 
 def seeded_table(kind, n):
     rng = random.Random(f"split-test|{kind}|{n}")
+    fraction = lambda: Fraction(rng.randint(-6, 20), rng.randint(1, 6))
     draw = {
         "int": lambda: rng.randint(-20, 50),
-        "fraction": lambda: Fraction(rng.randint(-6, 20), rng.randint(1, 6)),
+        "fraction": fraction,
+        "wide": fraction,
         "tie": lambda: rng.randint(0, 2),
         "zero": lambda: 0,
     }[kind]
-    return [0] + [draw() for _ in range((1 << n) - 1)]
+    v = [0] + [draw() for _ in range((1 << n) - 1)]
+    if kind == "wide":
+        # Player 1's value with a denominator past the scaled DP's bound:
+        # every table holding it runs on its Fractions.
+        v[1] += Fraction(1, 2 ** _SCALE_BITS)
+    return v
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])
@@ -217,14 +225,16 @@ def several_partitions(n):
     return [Partition(tuple(Coalition(m) for m in q if m)) for q in shapes]
 
 
-@pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])
+@pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero", "wide"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_tables_match_enumeration_from_both_sources(kind, n):
     # Each block's tables come from its own DP on a fresh game, indexed by
     # position, and from the cached pass on a solved one, indexed by mask;
-    # the split test and the best grouping read off either match every
-    # grouping of the block.
+    # the split test, the best grouping and the gaining cuts read off
+    # either match every grouping of the block.
     v = seeded_table(kind, n)
+    if kind == "wide":
+        assert _int_table(v) is v  # runs unscaled
     for solved in (False, True):
         for p in several_partitions(n):
             g = Game(n, table=list(v))
@@ -246,6 +256,8 @@ def test_block_tables_match_enumeration_from_both_sources(kind, n):
                 assert _splits_gain(tables, u, True) == (split >= v[pm])
                 value, parts = best_grouping(g, pm)
                 assert value == max(totals.values()) == totals[parts]
+                gaining = [(q, t - v[pm]) for q, t in totals.items() if len(q) > 1 and t > v[pm]]
+                assert list(_gaining_cuts(g, pm)) == gaining
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])

@@ -25,7 +25,11 @@ ties, and on a random 0..2 table.  One times ``check_dhp`` and
 walks the grand block's best grouping off them in place.  Two time
 the dynamics split rule on the same table: ``is_closed`` at the grand
 partition under merge and split, and at ``{1..11} {12}`` under the
-split rule alone.  Two time
+split rule alone.  Four time the split rule's listing of the gaining
+cuts, ``applicable_rules(g, grand, ["split"])``, its DP pass included:
+at n = 10, 11 and 12 on a table where one two-part cut of the grand
+coalition gains, of Bell(n) cuts, and on an 8-player general random
+game, where nearly every cut gains.  Two time
 ``closure_outcomes`` from the singletons of an 8-player strictly
 superadditive table, where every one of the Bell(8) partitions is
 reachable: under merge and split, and under all four rules.  One times
@@ -54,8 +58,11 @@ from coalstab import (  # noqa: E402
     SOLVER_CAP,
     CityConfig,
     Game,
+    GameClass,
+    GeneratorSpec,
     Partition,
     all_maximizers,
+    applicable_rules,
     check_dhp,
     check_dp_k_strict,
     check_strict_dhp,
@@ -65,6 +72,7 @@ from coalstab import (  # noqa: E402
     optimal_partition,
     optimal_partition_bounded,
     parse_game,
+    random_game,
     serialize_game,
     transportation_game,
 )
@@ -137,6 +145,20 @@ def superadditive_table(n: int) -> list:
     return [0] + [10 * m.bit_count() ** 2 + rng.randint(0, 9) for m in range(1, 1 << n)]
 
 
+def one_cut_table(n: int) -> list:
+    """``10·|S|²``, except that the first half of the players and the rest
+    together are worth one more than the grand coalition: of every cut
+    of the grand coalition, only that one gains."""
+    v = [10 * m.bit_count() ** 2 for m in range(1 << n)]
+    full, half = (1 << n) - 1, (1 << n // 2) - 1
+    v[half], v[full ^ half] = v[full] // 2 + 1, v[full] // 2
+    return v
+
+
+def general_table() -> list:
+    return random_game(GeneratorSpec(8, GameClass.GENERAL, 0, 6, 1)).dense_table()
+
+
 def transportation_table() -> list:
     cities = Partition.parse("{1,2,3,4} {5,6,7,8} {9,10,11,12}")
     g, _ = transportation_game(CityConfig(cities, (5, 7, 3), ("1/2", "2/3", "3/4"), 2))
@@ -149,6 +171,7 @@ def main() -> None:
     closed = lambda g: is_closed(g, Partition.grand(g.n))
     eleven = Partition.parse("{1,2,3,4,5,6,7,8,9,10,11} {12}")
     split_closed = lambda g: is_closed(g, eleven, ["split"])
+    cuts = lambda g: applicable_rules(g, Partition.grand(g.n), ["split"])
     closure = lambda rules: lambda g: closure_outcomes(g, Partition.singletons(g.n), rules)
     bounded3 = lambda g: optimal_partition_bounded(g, 3)
     grand_dhp = lambda g: (check_dhp(g, Partition.grand(g.n)), check_strict_dhp(g, Partition.grand(g.n)))
@@ -167,6 +190,10 @@ def main() -> None:
         ("dhp both, cached 0..2, n = 12", 12, tie_table(12), grand_dhp, optimal_partition),
         ("is_closed grand, n = 12", 12, superadditive_table(12), closed),
         ("is_closed split, {1..11} {12}", 12, superadditive_table(12), split_closed),
+        ("split rule, one cut, n = 10", 10, one_cut_table(10), cuts),
+        ("split rule, one cut, n = 11", 11, one_cut_table(11), cuts),
+        ("split rule, one cut, n = 12", 12, one_cut_table(12), cuts),
+        ("split rule, general, n = 8", 8, general_table(), cuts),
         ("closure merge/split, n = 8", 8, superadditive_table(8), closure(DEFAULT_RULES)),
         ("closure all rules, n = 8", 8, superadditive_table(8), closure(ALL_RULES)),
         ("parse_game int table, n = 14", 14, int_table(14), parse),
