@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 MAX_PLAYERS = 20
@@ -652,28 +653,13 @@ def _iter_homogeneous_masks(pmasks: "tuple[int, ...]") -> Iterator[tuple[int, ..
     way of splitting it.  Each result arises exactly once: merged blocks are
     strictly larger than any single block, so the grouping is recoverable.
     """
-    k = len(pmasks)
-
-    def choices(gmask: int) -> Iterator[tuple[int, ...]]:
-        if gmask & (gmask - 1):
-            union = 0
-            g = gmask
-            while g:
-                union |= pmasks[(g & -g).bit_length() - 1]
-                g &= g - 1
-            yield (union,)
-        else:
-            yield from _iter_partition_masks(pmasks[gmask.bit_length() - 1])
-
-    def rec(groups: tuple[int, ...], idx: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if idx == len(groups):
-            yield tuple(sorted(acc, key=lambda m: m & -m))
-            return
-        for part in choices(groups[idx]):
-            yield from rec(groups, idx + 1, acc + list(part))
-
-    for grouping in _partitions(k):
-        yield from rec(grouping, 0, [])
+    for grouping in _partitions(len(pmasks)):
+        options = []
+        for gmask in grouping:
+            blocks = [m for i, m in enumerate(pmasks) if gmask >> i & 1]
+            options.append([(sum(blocks),)] if len(blocks) > 1 else _iter_partition_masks(blocks[0]))
+        for choice in product(*options):
+            yield tuple(sorted(chain.from_iterable(choice), key=lambda m: m & -m))
 
 
 def enumerate_partitions(players: "int | Coalition | Iterable[int]"):

@@ -222,33 +222,47 @@ def _cut_walk(w, best, s: int, floor):
     blocks by least member and keeps a block ``t`` of its rest ``r`` only
     while ``acc + w[t] + best[r ^ t]`` passes ``floor``, ``acc`` being
     what its blocks are worth: the bound is exact, so every node kept
-    completes and the cost grows with the output.  The nodes run best
-    first on a heap keyed as in :func:`_tie_walk`, so the groupings come
-    out in order and the first costs far less than the whole list.  The
-    grouping that ends with the whole rest has the node's own key, below
-    every other on the heap, so it comes out as the node is popped.  With
-    ``floor = w[s]`` the grouping of ``s`` whole is left out.
+    completes and the cost grows with the output.  Each node carries its
+    key as in :func:`_tie_walk`, over the players of ``s`` alone:
+    ``digits`` maps each submask of ``s`` to :func:`_digits` of its
+    positions in ``s``.  Up to the first grouping the nodes run best
+    first on a heap, so a caller that reads one pays for little more: the
+    grouping that ends with a node's whole rest has the node's own key,
+    below every other on the heap.  The nodes left then run depth first,
+    a block that leaves one player completing its grouping at once, and
+    one sort by key puts the rest in order, at about half the heap's cost
+    per grouping where most cuts gain.  With ``floor = w[s]`` the
+    grouping of ``s`` whole is left out.
     """
-    digits = _digits(len(w).bit_length() - 1)
-    heap = [(0, 0, (), s)]
-    while heap:
-        key, acc, blocks, r = heappop(heap)
+    digits = dict(zip(_submasks(s), _digits(s.bit_count())))
+    nodes, found, heap = [(0, 0, (), s)], {}, True
+    while nodes:
+        key, acc, blocks, r = heappop(nodes) if heap else nodes.pop()
         if acc + w[r] > floor:
-            yield blocks + (r,)
+            found[key] = blocks + (r,)
         rest = u = r ^ (r & -r)
         while u:
             t = r ^ u
             total = acc + w[t]
             if total + best[u] > floor:
-                heappush(heap, (key + digits[u], total, blocks + (t,), u))
+                if heap or u & (u - 1):
+                    (heappush if heap else list.append)(nodes, (key + digits[u], total, blocks + (t,), u))
+                else:
+                    found[key + digits[u]] = blocks + (t, u)
             u = (u - 1) & rest
+        if heap and found:
+            yield found.pop(key)
+            heap = False
+    for key in sorted(found):
+        yield found[key]
 
 
 @lru_cache(maxsize=None)
 def _digits(n: int) -> "list[int]":
     """Each mask's players as base-n digits, player 1 the leading one:
     ``digits[m]`` is the sum of n**(n-1-p) over the players p in ``m``.
-    One table per n, kept: the counted walks read it on every call."""
+    One table per n, kept: the counted walks read it on every call, and
+    the cut walk at its block's size, within the split-scan cap."""
     digits = [0]
     for p in range(n):
         d = n ** (n - 1 - p)

@@ -59,6 +59,16 @@ def tie_table(n: int, kind: str, seed: int) -> list:
     return [0] + [draw() for _ in range((1 << n) - 1)]
 
 
+def one_cut_table(n: int) -> list:
+    """``10·|S|²``, except that the first half of the players and the rest
+    together are worth one more than the grand coalition: of every cut
+    of the grand coalition, only that one gains."""
+    v = [10 * m.bit_count() ** 2 for m in range(1 << n)]
+    full, half = (1 << n) - 1, (1 << n // 2) - 1
+    v[half], v[full ^ half] = v[full] // 2 + 1, v[full] // 2
+    return v
+
+
 def best_grouping(g: Game, pm: int):
     """Block ``pm``'s best value and grouping: the strict dhp split scan's
     best grouping when some split ties or beats the block, else the block

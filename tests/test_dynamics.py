@@ -46,6 +46,7 @@ from coalstab import (
     trace_lines,
 )
 from coalstab.dynamics import _coerce_rules, _edges
+from conftest import one_cut_table
 
 EXA_1 = example_game("exa-1")
 EXA_MISS = example_game("exa-miss")
@@ -446,16 +447,6 @@ def test_gains_follow_as_value_on_a_fraction_game():
     assert {rule for rule, kind in seen if kind is int} == set(RuleName)
 
 
-def one_cut_table(n):
-    """``10·|S|²``, except that the first half of the players and the rest
-    together are worth one more than the grand coalition: of every cut
-    of the grand coalition, only that one gains."""
-    v = [10 * m.bit_count() ** 2 for m in range(1 << n)]
-    full, half = (1 << n) - 1, (1 << n // 2) - 1
-    v[half], v[full ^ half] = v[full] // 2 + 1, v[full] // 2
-    return v
-
-
 def test_the_dynamics_never_enumerate_partitions(monkeypatch):
     # The split rule lists its cuts off the block's DP tables, so every
     # dynamics entry point runs with the partition enumeration broken.
@@ -481,3 +472,16 @@ def test_the_dynamics_never_enumerate_partitions(monkeypatch):
     assert applicable_rules(g, Partition.grand(12), ["split"]) == [
         Split(0, Collection((half, Coalition(g.full_mask ^ half.mask))), 1)
     ]
+
+
+def test_split_rule_on_nine_player_blocks_of_a_fresh_game():
+    # Thirty distinct 9-player blocks of an all-zero game, each with its
+    # own position-indexed tables: no cut beats a block, so none splits.
+    from itertools import combinations, islice
+
+    g = Game.from_table(12, {})
+    for members in islice(combinations(range(1, 13), 9), 0, 150, 5):
+        block = Coalition.from_members(members)
+        rest = Coalition(g.full_mask ^ block.mask)
+        assert is_closed(g, Partition((block, rest)), ["split"])
+    assert g._dp == {}

@@ -260,6 +260,32 @@ def test_block_tables_match_enumeration_from_both_sources(kind, n):
                 assert list(_gaining_cuts(g, pm)) == gaining
 
 
+@pytest.mark.parametrize("kind", ["int", "tie", "one-cut"])
+@pytest.mark.parametrize("solved", [False, True])
+def test_gaining_cuts_of_a_nine_player_block_match_enumeration(kind, solved):
+    # Players 2..10 of a 10-player game: on a fresh game the block's own
+    # tables, indexed by position; on a solved one the cached pass's,
+    # indexed by mask.  "one-cut" is 10·|S|² but for one cut of the block
+    # into 4 and 5 players, which beats it by 1.
+    n, pm, half = 10, 0b1111111110, 0b11110
+    if kind == "one-cut":
+        v = [10 * m.bit_count() ** 2 for m in range(1 << n)]
+        v[half], v[pm ^ half] = v[pm] // 2 + 1, v[pm] // 2
+    else:
+        v = seeded_table(kind, n)
+    g = Game(n, table=list(v))
+    if solved:
+        optimal_partition(g)
+    gaining = []
+    for q in _iter_partition_masks(pm):
+        gain = sum(v[m] for m in q) - v[pm]
+        if len(q) > 1 and gain > 0:
+            gaining.append((q, gain))
+    assert list(_gaining_cuts(g, pm)) == gaining
+    assert len(gaining) == 1 if kind == "one-cut" else len(gaining) > 1000
+    assert (n in g._dp) == solved
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_dhp_witnesses_do_not_depend_on_the_cache(kind, n):

@@ -77,6 +77,10 @@ from coalstab import (  # noqa: E402
     transportation_game,
 )
 
+# The table where one cut of the grand coalition gains, as the tests pin it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import one_cut_table  # noqa: E402
+
 
 def solve_ms(n: int, table: list, call=optimal_partition, prep=None) -> float:
     """Wall time of one ``call`` on a fresh game, in ms, after an untimed
@@ -143,16 +147,6 @@ def superadditive_table(n: int) -> list:
     so the grand partition is the one maximizer."""
     rng = random.Random(f"dp_rows|superadditive|{n}")
     return [0] + [10 * m.bit_count() ** 2 + rng.randint(0, 9) for m in range(1, 1 << n)]
-
-
-def one_cut_table(n: int) -> list:
-    """``10·|S|²``, except that the first half of the players and the rest
-    together are worth one more than the grand coalition: of every cut
-    of the grand coalition, only that one gains."""
-    v = [10 * m.bit_count() ** 2 for m in range(1 << n)]
-    full, half = (1 << n) - 1, (1 << n // 2) - 1
-    v[half], v[full ^ half] = v[full] // 2 + 1, v[full] // 2
-    return v
 
 
 def general_table() -> list:
