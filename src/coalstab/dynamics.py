@@ -33,8 +33,8 @@ from .model import (
     format_value,
     social_welfare,
 )
-from .solver import _cut_walk
-from .stability import _gaining_merges, _gaining_splits, _indices
+from .solver import _gaining_splits
+from .stability import _gaining_merges, _indices
 
 CLOSURE_CAP = 8
 
@@ -166,9 +166,9 @@ def _edges(
     Merges come from the dhp merge scan, index subsets ascending by bit
     pattern; the union takes the place of its lowest block, so the child
     needs no sort.  Splits scan blocks ascending and, per block that the
-    dhp split scan finds can gain, its gaining cuts in restricted-growth
-    order, walked off the tables that decided it, the parts taking the
-    block's place.
+    dhp split scan (:func:`solver._gaining_splits`) finds can gain, the
+    gaining cuts it lists in restricted-growth order, the parts taking
+    the block's place.
     Transfers scan ordered block pairs and moved subsets ascending;
     exchanges scan unordered block pairs with both swapped subsets
     ascending; each rewrites two blocks of the parent and sorts.  A caller
@@ -249,12 +249,11 @@ def _gaining_cuts(g: Game, pm: int) -> "Iterator[tuple[tuple[int, ...], Value]]"
     """Every cut of block ``pm`` into two or more parts worth more than the
     block, as ``(parts, gain)`` in restricted-growth order, or none when
     the dhp split scan finds that no cut gains.  The cuts are walked off
-    the tables that decided the block (:func:`solver._cut_walk`), so the
-    cost grows with their number; each is then mapped to players."""
-    for _, (w, best, _), s, lift in _gaining_splits(g, (pm,), False):
+    the tables that decided the block (:func:`solver._gaining_splits`),
+    so the cost grows with their number."""
+    for _, _, cuts in _gaining_splits(g, (pm,), False):
         v = g.dense_table()
-        for parts in _cut_walk(w, best, s, w[s]):
-            parts = parts if lift is None else tuple(map(lift.__getitem__, parts))
+        for parts in cuts:
             gain = -v[pm]
             for m in parts:
                 gain += v[m]

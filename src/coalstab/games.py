@@ -9,10 +9,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from math import log10
 from typing import Callable, Sequence
 
 from .model import (
     MAX_PLAYERS,
+    MAX_VALUE_DIGITS,
     Coalition,
     Game,
     Partition,
@@ -104,13 +106,17 @@ def partition_power_game(p: Partition, m: int) -> Game:
 
     With m = 1 the defining partition is stable against every collection;
     with m >= 2 it is strictly so, making it the unique stable partition
-    and the guaranteed endpoint of every merge/split walk.
+    and the guaranteed endpoint of every merge/split walk.  An ``m`` that
+    makes the largest block's value pass ``MAX_VALUE_DIGITS`` digits is
+    refused, as a table document's value would be.
     """
     if not isinstance(p, Partition):
         raise TypeError("expected a Partition")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("the exponent m must be an integer >= 1")
     pmasks = p.masks
+    top = max(pm.bit_count() for pm in pmasks)
+    # top**m has floor(m·log10(top)) + 1 digits: decided without the power.
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1 or m * log10(top) >= MAX_VALUE_DIGITS:
+        raise ValueError(f"exponent m must be an integer >= 1 with {top}**m within {MAX_VALUE_DIGITS} digits")
 
     def rule(mask: int) -> Value:
         low = mask & -mask

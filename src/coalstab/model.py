@@ -372,11 +372,12 @@ class Game:
     Treat instances as immutable; the only internal mutation is caching.
     The solver keeps one cache, ``_dp``: one entry per block budget
     holding the optimum and the tie-counting tables of the pass that
-    gave it.  The unbounded entry's tables also answer the stability
-    scans' split test.  Each entry is written once, without a lock, as
-    racing writers compute equal entries.  ``family``/``params`` carry
-    optional provenance used by the file format to round-trip generated
-    games.
+    gave it.  Only the solver reads those tables; the unbounded entry's
+    also answer the split test, which the stability scans and the split
+    rule get from the solver.  Each entry is written once, without a
+    lock, as racing writers compute equal entries.  ``family``/``params``
+    carry optional provenance used by the file format to round-trip
+    generated games.
     """
 
     __slots__ = (

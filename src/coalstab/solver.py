@@ -214,37 +214,37 @@ def _tie_walk(w, best, count, j: int, s: int):
             heappush(heap, (key + digits[s ^ tm] if digits else 0, blocks + (tm,), s ^ tm, j - 1))
 
 
-def _cut_walk(w, best, s: int, floor):
-    """Every grouping of ``s`` worth more than ``floor`` on ``w``, as
-    block tuples, least member first, in enumeration order.
+def _cut_walk(w, best, s: int):
+    """Every grouping of ``s`` into two or more blocks worth more than
+    ``s`` whole on ``w``, as block tuples, least member first, in
+    enumeration order.
 
     ``best`` is the unbounded pass's table over ``w``.  A node places
     blocks by least member and keeps a block ``t`` of its rest ``r`` only
-    while ``acc + w[t] + best[r ^ t]`` passes ``floor``, ``acc`` being
-    what its blocks are worth: the bound is exact, so every node kept
-    completes and the cost grows with the output.  Each node carries its
-    key as in :func:`_tie_walk`, over the players of ``s`` alone:
-    ``digits`` maps each submask of ``s`` to :func:`_digits` of its
-    positions in ``s``.  Up to the first grouping the nodes run best
+    while ``acc + w[t] + best[r ^ t]`` is positive, ``acc`` being what
+    its blocks are worth less ``w[s]``: the bound is exact, so every
+    node kept completes and the cost grows with the output.  Each node
+    carries its key as in :func:`_tie_walk`, over the players of ``s``
+    alone: ``digits`` maps each submask of ``s`` to :func:`_digits` of
+    its positions in ``s``.  Up to the first grouping the nodes run best
     first on a heap, so a caller that reads one pays for little more: the
     grouping that ends with a node's whole rest has the node's own key,
     below every other on the heap.  The nodes left then run depth first,
     a block that leaves one player completing its grouping at once, and
     one sort by key puts the rest in order, at about three fifths of the
-    heap's cost per grouping where most cuts gain.  With ``floor = w[s]``
-    the grouping of ``s`` whole is left out.
+    heap's cost per grouping where most cuts gain.
     """
     digits = dict(zip(_submasks(s), _digits(s.bit_count())))
-    nodes, found, heap = [(0, 0, (), s)], {}, True
+    nodes, found, heap = [(0, -w[s], (), s)], {}, True
     while nodes:
         key, acc, blocks, r = heappop(nodes) if heap else nodes.pop()
-        if acc + w[r] > floor:
+        if acc + w[r] > 0:
             found[key] = blocks + (r,)
         rest = u = r ^ (r & -r)
         while u:
             t = r ^ u
             total = acc + w[t]
-            if total + best[u] > floor:
+            if total + best[u] > 0:
                 if heap or u & (u - 1):
                     (heappush if heap else list.append)(nodes, (key + digits[u], total, blocks + (t,), u))
                 else:
@@ -325,28 +325,65 @@ def _pass(g: Game, k: int):
     return g._dp[k]
 
 
-def _block_tables(g: Game, pm: int):
-    """The unbounded pass's ``(w, best, count)`` for the sets inside
-    block ``pm``, and ``lift``: the tables the stability scans' split
-    test (see :func:`_dp`) and their walk to a block's best grouping read.
+def _split_test(w, best, count, strict: bool):
+    """Does the best split of a set beat (strict: tie) the set whole?  As
+    a function of the set's index in the unbounded pass's tables (see
+    :func:`_dp`): a split beats it exactly when ``best`` passes ``w``,
+    and ties it exactly when, besides, two or more groupings reach
+    ``best``, as the pass counts a whole that ties its best split as one
+    more grouping."""
+    return lambda u: w[u] < best[u] or (strict and count[u] > 1)
 
-    When the game holds the unbounded pass they are its cached tables,
-    indexed by mask, and ``lift`` is None; a block holding every player
-    runs that pass first, as its own DP is the solver's, and caches it.
-    Any other block runs its own DP over its ``2**|pm|`` submasks,
-    O(3**|pm|), on tables indexed by position that no one keeps: ``lift``
-    is :func:`_submasks` of ``pm``, mapping a position to its players.
-    """
-    if pm == g.full_mask:
-        _pass(g, g.n)
+
+def _cached_split_test(g: Game, strict: bool):
+    """:func:`_split_test` on the game's cached unbounded pass, indexed by
+    mask, or None when the game holds no such pass: the dc pair scan's
+    filter, looked up once per scan."""
     entry = g._dp.get(g.n)
     if entry is not None:
         w, best, count = entry[1]
-        return (w, best[g.n], count[g.n]), None
-    lift = _submasks(pm)
-    v = g.dense_table()
-    w = _int_table([v[m] for m in lift])
-    return (w, *_dp(w)), lift
+        return _split_test(w, best[g.n], count[g.n], strict)
+
+
+def _gaining_splits(g: Game, pmasks: "tuple[int, ...]", strict: bool):
+    """Every block of two or more players with a cut into two or more
+    parts worth more (strict: at least as much) than the block, as
+    ``(index, grouping, cuts)``, blocks in order.  ``grouping`` is a lazy
+    walk whose first yield is the block's best grouping, and ``cuts`` a
+    lazy walk over its cuts worth more than the block
+    (:func:`_cut_walk`), each as block tuples of player masks.  The dhp
+    split scan reads the first gaining block's grouping and the dynamics
+    split rule each block's cuts; a walk not read does not run.
+
+    Each block passes the split-scan cap before the value table is read
+    for it.  Its tables are the unbounded pass's, indexed by mask, when
+    the game holds that pass, looked up once per block; a block holding
+    every player runs that pass first, as its own DP is the solver's, and
+    caches it.  Any other block runs its own DP over its ``2**|pm|``
+    submasks, O(3**|pm|), on tables indexed by position that no one
+    keeps, and its walks map each position to its players.
+    """
+    for i, pm in enumerate(pmasks):
+        size = pm.bit_count()
+        if size > 1:
+            _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
+            entry = _pass(g, g.n) if pm == g.full_mask else g._dp.get(g.n)
+            if entry is None:
+                lift = _submasks(pm)
+                w = _int_table(list(map(g.dense_table().__getitem__, lift)))
+                (best, count), s = _dp(w), len(lift) - 1
+            else:
+                (w, best, count), lift, s = entry[1], None, pm
+                best, count = best[g.n], count[g.n]
+            if _split_test(w, best, count, strict)(s):
+                yield i, *_lifted(lift, _tie_walk(w, [best] * (size + 1), None, size, s), _cut_walk(w, best, s))
+
+
+def _lifted(lift, *walks):
+    """``walks``, whose groupings are blocks of positions, as walks over
+    blocks of the players ``lift`` gives each position; on tables indexed
+    by mask (``lift`` None), the walks themselves."""
+    return walks if lift is None else tuple((tuple(map(lift.__getitem__, q)) for q in walk) for walk in walks)
 
 
 def optimal_partition(g: Game) -> OptResult:
@@ -354,7 +391,8 @@ def optimal_partition(g: Game) -> OptResult:
 
     Deterministic: ties at every table cell break toward the candidate
     block with the smallest bit pattern.  The result is cached on the game
-    with the DP's tables, whose split test the stability scans read.
+    with the DP's tables, whose split test answers the stability scans
+    and the split rule (:func:`_gaining_splits`).
     """
     _check_cap(g.n, SOLVER_CAP, "solver")
     return _pass(g, g.n)[0]

@@ -54,7 +54,7 @@ from .model import (
     as_value,
 )
 from .solver import (
-    _LISTING_CAP, _block_tables, _check_listing, _tie_walk, _ties, optimal_partition_bounded,
+    _LISTING_CAP, _cached_split_test, _check_listing, _gaining_splits, _ties, optimal_partition_bounded,
 )
 
 
@@ -192,7 +192,7 @@ STABLE = Verdict(True)
 
 def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     v = g.dense_table()
-    tables = _block_tables(g, g.full_mask)[0] if g.n in g._dp else None
+    gains = _cached_split_test(g, strict)
     # Condition 1: inside each block, no pair of disjoint pieces may beat
     # (strict: tie) their union.  Pairs are anchored on the union's least
     # player so each unordered pair appears once.  A union's best split
@@ -201,7 +201,7 @@ def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     for i, pm in enumerate(pmasks):
         u = pm
         while u:
-            if u & (u - 1) and (tables is None or _splits_gain(tables, u, strict)):
+            if u & (u - 1) and (gains is None or gains(u)):
                 low = u & -u
                 rest = u ^ low
                 combined = v[u]
@@ -238,19 +238,6 @@ def _dc_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
             if pieces < whole or (strict and pieces == whole):
                 return Verdict(False, IncompatibleSet(Coalition(tmask), as_value(pieces), whole))
     return STABLE
-
-
-def _splits_gain(tables, u: int, strict: bool) -> bool:
-    """Does the best split of ``u`` beat (strict: tie) ``u`` whole?
-
-    Read off the ``(w, best, count)`` :func:`_block_tables` gives, where
-    ``u`` is a mask or, with a ``lift``, a position: a split beats ``u``
-    exactly when ``best[u]`` passes ``w[u]``.  It ties ``u`` exactly
-    when, besides, two or more groupings reach ``best[u]``, as the DP
-    counts a whole that ties its best split as one more grouping.
-    """
-    w, best, count = tables
-    return w[u] < best[u] or (strict and count[u] > 1)
 
 
 def check_dc(g: Game, p: Partition) -> Verdict:
@@ -343,38 +330,13 @@ def _dhp_scan(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Verdict:
     # Splits first, then merges: the first gaining (strict: tying)
     # rearrangement of either kind is the witness.  A split witness is its
     # block's best grouping, walked off the tables that decided the block.
-    for i, (w, best, _), s, lift in _gaining_splits(g, pmasks, strict):
-        size = s.bit_count()
-        parts = next(_tie_walk(w, [best] * (size + 1), None, size, s))
-        parts = parts if lift is None else tuple(map(lift.__getitem__, parts))
+    for i, grouping, _ in _gaining_splits(g, pmasks, strict):
+        parts = next(grouping)
         v = g.dense_table()
         return Verdict(False, BlockSplit(i, _from_masks(Collection, parts), v[pmasks[i]], _welfare(v, parts)))
     for tmask, _, separate, merged in _gaining_merges(g.dense_table(), pmasks, strict):
         return Verdict(False, BlockMerge(_indices(tmask), as_value(separate), as_value(merged)))
     return STABLE
-
-
-def _gaining_splits(g: Game, pmasks: "tuple[int, ...]", strict: bool) -> Iterator[tuple]:
-    """Every block of two or more players with a cut into two or more
-    parts worth more (strict: at least as much) than the block, as
-    ``(index, tables, s, lift)``, blocks in order: ``tables`` and
-    ``lift`` are :func:`_block_tables`' for the block, and ``s`` is the
-    block in the tables' indexing, its mask or its top position.  The dhp
-    split scan walks the first such block's best grouping off them, and
-    the dynamics split rule lists each one's gaining cuts.
-
-    Each block passes the split-scan cap before the value table is read
-    for it, then reads its tables, on which the split test decides it.
-    """
-    for i, pm in enumerate(pmasks):
-        size = pm.bit_count()
-        if size < 2:
-            continue
-        _check_cap(size, PARTITION_ENUM_CAP, "split-scan", pm)
-        tables, lift = _block_tables(g, pm)
-        s = pm if lift is None else len(lift) - 1
-        if _splits_gain(tables, s, strict):
-            yield i, tables, s, lift
 
 
 def _gaining_merges(

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -378,6 +379,17 @@ class TestOutcomes:
     def test_merge_split_misses_it(self, capsys):
         code, out, _ = run_cli(capsys, "outcomes", "--game", EXA_MISS, "--start", "trap")
         assert code == 0 and out["outcomes"] == ["{1,3} {2,4}"]
+
+    def test_oversized_exponent_exits_2_at_once(self, capsys, tmp_path):
+        doc = tmp_path / "power.game"
+        doc.write_text(
+            "representation: rule\nfamily: partition_power\n"
+            "param partition: {1,2,3} {4}\nparam m: 3000000\n"
+        )
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "solve", "--game", str(doc))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "with 3**m within 4300 digits" in err["error"]
 
     def test_cap_exit_code(self, capsys, tmp_path):
         doc = tmp_path / "big.game"

@@ -473,6 +473,9 @@ RULE_ERRORS = [
      "line 2: n must be an integer, got 'x'"),
     (R + 'family: sudoku\nn: 3\nn: 4\n',
      "line 2: unknown family 'sudoku'; valid: example, generalized_odd, partition_power, transportation, random"),
+    # Values of 3**3000000, 1.4 million digits, are refused unbuilt.
+    (R + 'family: partition_power\nparam partition: {1,2,3} {4}\nparam m: 3000000\n',
+     'line 2: exponent m must be an integer >= 1 with 3**m within 4300 digits'),
 ]
 
 

@@ -3,6 +3,7 @@ family, block-power games, the transportation model, and the seeded
 random generator."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from coalstab import (
     random_game,
     transportation_game,
 )
+from coalstab.model import MAX_PLAYERS, MAX_VALUE_DIGITS
 from conftest import bell
 
 
@@ -118,8 +120,28 @@ class TestPartitionPower:
         p = Partition.grand(3)
         with pytest.raises(ValueError):
             partition_power_game(p, 0)
+        # 2**14284 has 4300 digits, 2**14285 has 4301.
+        pair = Partition.parse("{1,2} {3}")
+        assert len(str(partition_power_game(pair, 14284).mask_value(0b11))) == MAX_VALUE_DIGITS
+        with pytest.raises(ValueError, match=f"with 2\\*\\*m within {MAX_VALUE_DIGITS} digits"):
+            partition_power_game(pair, 14285)
+        assert partition_power_game(Partition.singletons(3), 10**9).mask_value(0b100) == 1
         with pytest.raises(TypeError):
             partition_power_game("{1,2}", 2)
+
+    @pytest.mark.parametrize("top", range(2, MAX_PLAYERS + 1))
+    def test_largest_exponent_for_each_block_size(self, top):
+        # The largest m with top**m below 10**MAX_VALUE_DIGITS, by exact
+        # int comparisons from an estimate: accepted, and m + 1 refused.
+        limit, m = 10**MAX_VALUE_DIGITS, int(MAX_VALUE_DIGITS / math.log10(top))
+        while top**m >= limit:
+            m -= 1
+        while top ** (m + 1) < limit:
+            m += 1
+        grand = Partition.grand(top)
+        assert partition_power_game(grand, m).params["m"] == m
+        with pytest.raises(ValueError, match="within"):
+            partition_power_game(grand, m + 1)
 
 
 TWO_CITIES = CityConfig(

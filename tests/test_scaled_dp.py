@@ -35,8 +35,7 @@ from coalstab import (
     optimal_partition_bounded,
 )
 from coalstab.model import _iter_partition_masks
-from coalstab.solver import _block_tables
-from coalstab.stability import _splits_gain
+from coalstab.solver import _cached_split_test, _pass
 from conftest import best_grouping, witness_violates
 
 # Denominator 1 keeps ints in the tables; 7..23 are pairwise coprime, so
@@ -105,13 +104,13 @@ def test_solvers_agree_with_enumeration(case):
         assert got.witness.masks == min(q for q in fits if welfare(v, q) == top)
     # The cached tables give each mask's best grouping on the game's scale
     # and whether a split beats (strict: ties) the mask whole.
-    tables, _ = _block_tables(g, g.full_mask)
+    split_test = {strict: _cached_split_test(g, strict) for strict in (False, True)}
     for s in range(1, 1 << n):
         split = max((welfare(v, q) for q in _iter_partition_masks(s) if len(q) > 1), default=None)
         assert best_grouping(g, s)[0] == (v[s] if split is None else max(v[s], split))
         for strict in (False, True):
             gains = split is not None and (split > v[s] or (strict and split == v[s]))
-            assert _splits_gain(tables, s, strict) == gains
+            assert split_test[strict](s) == gains
 
 
 @settings(max_examples=40)
@@ -215,12 +214,11 @@ def test_value_types_on_a_mixed_table():
     v = [0, h, h, Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(3, 2), 1]
     g = Game(3, table=list(v))
     assert repr(optimal_partition(g)) == "OptResult(optimum=2, witness={1} {2,3})"
-    tables, _ = _block_tables(g, g.full_mask)
     assert repr([best_grouping(g, s)[0] for s in range(1, 8)]) == (
         "[Fraction(1, 2), Fraction(1, 2), 1, Fraction(2, 3), Fraction(7, 6), Fraction(3, 2), 2]"
     )
     for strict in (False, True):
-        assert [_splits_gain(tables, s, strict) for s in (3, 5, 6, 7)] == [True, True, False, True]
+        assert [_cached_split_test(g, strict)(s) for s in (3, 5, 6, 7)] == [True, True, False, True]
     bounded = [optimal_partition_bounded(Game(3, table=list(v)), k).optimum for k in (1, 2, 3)]
     assert repr(bounded) == "[1, 2, 2]"
     assert all_maximizers(g) == [Partition.parse("{1} {2,3}")]
@@ -253,8 +251,8 @@ def test_an_int_table_runs_as_it_is():
         restore()
     # One unbounded pass, which the listing reuses, and two layers.
     assert len(calls) == 3 and all(w is v for w in calls)
-    (w, best, _), _ = _block_tables(g, g.full_mask)
-    assert w is v and all(type(x) is int for x in best)
+    w, best, _ = _pass(g, g.n)[1]
+    assert w is v and all(type(x) is int for x in best[g.n])
 
 
 def test_a_witness_value_does_not_depend_on_the_cache():

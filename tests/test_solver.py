@@ -38,9 +38,8 @@ from coalstab import (
     random_game,
     social_welfare,
 )
-from coalstab.solver import _dp, _pass, _tie_walk
-from coalstab.stability import _splits_gain
-from conftest import brute_force_optimum, count_dp_calls, tie_table
+from coalstab.solver import _LISTING_CAP, _dp, _pass, _split_test, _tie_walk
+from conftest import bell, brute_force_optimum, count_dp_calls, tie_table
 
 
 class TestOptimalPartition:
@@ -374,8 +373,8 @@ class TestDpKernel:
             # best splits, on every set of two or more players.
             for s in range(3, len(w)):
                 if s & (s - 1):
-                    assert _splits_gain((w, best, count), s, False) == (split[s] > w[s])
-                    assert _splits_gain((w, best, count), s, True) == (split[s] >= w[s])
+                    assert _split_test(w, best, count, False)(s) == (split[s] > w[s])
+                    assert _split_test(w, best, count, True)(s) == (split[s] >= w[s])
         return best, count
 
     @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "negative", "zero"])
@@ -448,6 +447,7 @@ class TestAllMaximizers:
         assert None not in all_maximizers(g)
 
     def test_cap(self):
+        assert _LISTING_CAP == bell(MAXIMIZER_CAP)
         g = Game.from_rule(MAXIMIZER_CAP + 1, lambda m: 0)
         with pytest.raises(CapExceededError):
             all_maximizers(g)

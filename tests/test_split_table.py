@@ -8,7 +8,9 @@ split rule read it when it is there, and a dhp scan or a split rule on
 the grand block caches it; these tests hold them to the answers they give
 without it, to plain enumeration and to the definitional oracles."""
 
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,10 +48,12 @@ from coalstab import (
     optimal_partition_bounded,
     random_game,
 )
+import coalstab.dynamics
+import coalstab.solver
+import coalstab.stability
 from coalstab.model import _iter_partition_masks
 from coalstab.dynamics import _gaining_cuts
-from coalstab.solver import _SCALE_BITS, _block_tables, _int_table
-from coalstab.stability import _splits_gain
+from coalstab.solver import _SCALE_BITS, _cached_split_test, _gaining_splits, _int_table
 from conftest import best_grouping, count_dp_calls, witness_violates
 
 CHECKS = (
@@ -155,12 +159,12 @@ def assert_split_test(g, v):
     """The cached split test on every mask of two or more players against
     :func:`best_split`, and each mask's best grouping against both."""
     assert g.n in g._dp
-    tables, _ = _block_tables(g, g.full_mask)
+    split_test = {strict: _cached_split_test(g, strict) for strict in (False, True)}
     for s in range(1, 1 << g.n):
         if s & (s - 1):
             split = best_split(v, s)
-            assert _splits_gain(tables, s, False) == (split > v[s])
-            assert _splits_gain(tables, s, True) == (split >= v[s])
+            assert split_test[False](s) == (split > v[s])
+            assert split_test[True](s) == (split >= v[s])
             assert best_grouping(g, s)[0] == max(v[s], split)
 
 
@@ -227,7 +231,7 @@ def several_partitions(n):
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "tie", "zero", "wide"])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_block_tables_match_enumeration_from_both_sources(kind, n):
+def test_block_tables_match_enumeration_from_both_sources(kind, n, monkeypatch):
     # Each block's tables come from its own DP on a fresh game, indexed by
     # position, and from the cached pass on a solved one, indexed by mask;
     # the split test, the best grouping and the gaining cuts read off
@@ -235,6 +239,8 @@ def test_block_tables_match_enumeration_from_both_sources(kind, n):
     v = seeded_table(kind, n)
     if kind == "wide":
         assert _int_table(v) is v  # runs unscaled
+    dp, sizes = coalstab.solver._dp, []
+    monkeypatch.setattr(coalstab.solver, "_dp", lambda w, *a: sizes.append(len(w)) or dp(w, *a))
     for solved in (False, True):
         for p in several_partitions(n):
             g = Game(n, table=list(v))
@@ -243,17 +249,24 @@ def test_block_tables_match_enumeration_from_both_sources(kind, n):
             for pm in p.masks:
                 if not pm & (pm - 1):
                     continue
-                tables, lift = _block_tables(g, pm)
-                if solved or pm == g.full_mask:
-                    assert lift is None
-                    u = pm
+                sizes.clear()
+                found = {strict: list(_gaining_splits(g, (pm,), strict)) for strict in (False, True)}
+                if solved:
+                    assert sizes == []
+                elif pm == g.full_mask:
+                    assert sizes == [1 << n]  # the solver's pass, cached
+                    assert g.n in g._dp
                 else:
-                    assert len(lift) == len(tables[0]) == 1 << pm.bit_count()
-                    u = len(lift) - 1
+                    assert sizes == [1 << pm.bit_count()] * 2  # the block's own, not kept
+                    assert g._dp == {}
                 totals = {q: sum(v[m] for m in q) for q in _iter_partition_masks(pm)}
                 split = max(t for q, t in totals.items() if len(q) > 1)
-                assert _splits_gain(tables, u, False) == (split > v[pm])
-                assert _splits_gain(tables, u, True) == (split >= v[pm])
+                assert [i for i, _, _ in found[False]] == ([0] if split > v[pm] else [])
+                assert [i for i, _, _ in found[True]] == ([0] if split >= v[pm] else [])
+                for _, grouping, cuts in found[True]:
+                    parts = next(grouping)
+                    assert totals[parts] == max(totals.values())
+                    assert list(cuts) == [q for q, t in totals.items() if len(q) > 1 and t > v[pm]]
                 value, parts = best_grouping(g, pm)
                 assert value == max(totals.values()) == totals[parts]
                 gaining = [(q, t - v[pm]) for q, t in totals.items() if len(q) > 1 and t > v[pm]]
@@ -491,3 +504,11 @@ def test_rules_give_the_same_answers_with_and_without_the_table(n, kind, seed, r
         splits = applicable_rules(game, p, ["split"])
         assert [(a.index, a.parts.blocks, a.gain) for a in splits] == [c for c in cuts if c[2] > 0]
 
+
+def test_only_the_solver_reads_the_dp_tables():
+    # The split test, the tables' two indexings and the walks over them
+    # live in the solver: the stability scans and the dynamics get the
+    # split test and the walks' player masks from it.
+    for module in (coalstab.stability, coalstab.dynamics):
+        assert not {"_tie_walk", "_cut_walk", "_block_tables", "_splits_gain"} & set(vars(module))
+        assert not re.search(r"\._dp\b|\blift\b", inspect.getsource(module))
