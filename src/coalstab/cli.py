@@ -13,14 +13,13 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .model import (
     CapExceededError, Game, Partition, _check_partition, _Coalitions, _from_masks, format_value, social_welfare
 )
 from .solver import _capped_ties, _check_budget, optimal_partition, optimal_partition_bounded
-from .gamefile import FAMILIES, ParseError, build_family, load_game, serialize_game
+from .gamefile import FAMILIES, ParseError, build_family, load_game, save_game
 
 # ``stability``, ``dynamics`` and ``games`` are imported inside the commands
 # that use them, so that a process loads only what its subcommand needs.
@@ -33,11 +32,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_game(sp: argparse.ArgumentParser) -> None:
+    def add_game(sp: argparse.ArgumentParser, handler) -> None:
         sp.add_argument("--game", required=True, help="path to a game document")
+        sp.set_defaults(handler=handler)
 
     c = sub.add_parser("check", help="test one partition against a stability notion")
-    add_game(c)
+    add_game(c, _cmd_check)
     c.add_argument(
         "--partition",
         required=True,
@@ -52,22 +52,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     f = sub.add_parser("find", help="search for a stable partition")
-    add_game(f)
+    add_game(f, _cmd_find)
     f.add_argument("--notion", default="dc", choices=["dc", "dp", "dhp"])
 
     s = sub.add_parser("solve", help="maximize social welfare over partitions")
-    add_game(s)
+    add_game(s, _cmd_solve)
     s.add_argument("--max-size", type=int, default=None, help="allow at most K blocks")
     s.add_argument("--all-maximizers", action="store_true", help="list every optimal partition")
 
     it = sub.add_parser("iterate", help="run the rewrite engine to a fixpoint")
-    add_game(it)
+    add_game(it, _cmd_iterate)
     it.add_argument("--start", required=True, help="starting partition (literal or name)")
     it.add_argument("--strategy", default="first", help="first | best | random:SEED")
     it.add_argument("--rules", default="merge,split", help="comma list: merge,split,transfer,exchange")
 
     o = sub.add_parser("outcomes", help="all rewrite fixpoints reachable from a start")
-    add_game(o)
+    add_game(o, _cmd_outcomes)
     o.add_argument("--start", required=True, help="starting partition (literal or name)")
     o.add_argument("--rules", default="merge,split", help="comma list: merge,split,transfer,exchange")
 
@@ -113,12 +113,6 @@ def _resolve_strategy(text: str):
                 raise ValueError(f"bad seed in strategy {text!r}") from exc
         raise ValueError("the random strategy needs a seed, e.g. random:7")
     raise ValueError(f"unknown strategy {text!r}; expected first, best, or random:SEED")
-
-
-def _resolve_rules(text: str) -> "tuple[RuleName, ...]":
-    from .dynamics import _coerce_rules
-
-    return _coerce_rules(tok for tok in text.split(",") if tok.strip())
 
 
 def _witness_json(w: object) -> dict:
@@ -219,11 +213,11 @@ def _cmd_solve(args, game: Game, named: "dict[str, Partition]"):
 
 
 def _cmd_iterate(args, game: Game, named: "dict[str, Partition]"):
-    from .dynamics import iterate, trace_lines
+    from .dynamics import _coerce_rules, iterate, trace_lines
 
     part = _resolve_partition(args.start, named, game)
     strategy = _resolve_strategy(args.strategy)
-    rules = _resolve_rules(args.rules)
+    rules = _coerce_rules(args.rules)
     trace = iterate(game, part, strategy, rules)
     lines = trace_lines(trace)
     steps = []
@@ -252,10 +246,10 @@ def _cmd_iterate(args, game: Game, named: "dict[str, Partition]"):
 
 
 def _cmd_outcomes(args, game: Game, named: "dict[str, Partition]"):
-    from .dynamics import closure_outcomes
+    from .dynamics import _coerce_rules, closure_outcomes
 
     part = _resolve_partition(args.start, named, game)
-    rules = _resolve_rules(args.rules)
+    rules = _coerce_rules(args.rules)
     outs = sorted(closure_outcomes(game, part, rules), key=lambda q: q.masks)
     report = {
         "command": "outcomes",
@@ -292,7 +286,7 @@ def _cmd_generate(args):
         raw_params[key.strip()] = val.strip()
     game = build_family(args.family, raw_params)
     named = _family_partitions(args.family, game)
-    Path(args.out).write_text(serialize_game(game, named), encoding="utf-8")
+    save_game(args.out, game, named)
     report = {"command": "generate", "family": args.family, "out": args.out, "n": game.n}
     return 0, report
 
@@ -316,15 +310,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.command == "generate":
             code, report = _cmd_generate(args)
         else:
-            game, named = load_game(args.game)
-            handler = {
-                "check": _cmd_check,
-                "find": _cmd_find,
-                "solve": _cmd_solve,
-                "iterate": _cmd_iterate,
-                "outcomes": _cmd_outcomes,
-            }[args.command]
-            code, report = handler(args, game, named)
+            code, report = args.handler(args, *load_game(args.game))
     except CapExceededError as exc:
         _fail(str(exc))
         return 3

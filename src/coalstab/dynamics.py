@@ -131,7 +131,10 @@ def random_strategy(seed: int) -> Strategy:
 
 
 def _coerce_rules(rules: "Iterable[RuleName | str]") -> "tuple[RuleName, ...]":
-    """The named rules in the order first given, each once."""
+    """The named rules in the order first given, each once.  A string is a
+    comma list of names, as ``--rules`` takes it; blank names are skipped."""
+    if isinstance(rules, str):
+        rules = [tok for tok in rules.split(",") if tok.strip()]
     out: list[RuleName] = []
     for r in rules:
         if not isinstance(r, str):
@@ -296,28 +299,32 @@ def is_closed(g: Game, p: Partition, rules: "Iterable[RuleName | str]" = DEFAULT
     return next(_edges(g, p.masks, _coerce_rules(rules)), None) is None
 
 
+def _in_range(count: int, *idxs: int) -> bool:
+    """True iff every block index lies in ``range(count)``; a bool index
+    raises ``TypeError``, as the package takes no bool for an int."""
+    if any(isinstance(i, bool) for i in idxs):
+        raise TypeError(f"block indices must be ints, not bool: {idxs!r}")
+    return all(0 <= i < count for i in idxs)
+
+
 def step(p: Partition, a: RuleApplication) -> Partition:
     """Apply one rewrite to ``p``.  This is the one place an application
     is validated: its payload indices and coalitions are checked against
-    ``p``'s blocks (``ValueError``; ``TypeError`` for anything that is not
-    a rule application) before the rewrite; gains are the caller's
-    concern."""
+    ``p``'s blocks (``ValueError``; ``TypeError`` for a bool index or
+    anything that is not a rule application) before the rewrite; gains
+    are the caller's concern."""
     blocks = list(p.masks)
     count = len(blocks)
     if isinstance(a, Merge):
         idxs = a.indices
-        if (
-            len(idxs) < 2
-            or list(idxs) != sorted(set(idxs))
-            or not all(0 <= i < count for i in idxs)
-        ):
+        if not _in_range(count, *idxs) or len(idxs) < 2 or list(idxs) != sorted(set(idxs)):
             raise ValueError("merge needs two or more distinct ascending block indices in range")
         union = 0
         for i in reversed(idxs):
             union |= blocks.pop(i)
         blocks.append(union)
     elif isinstance(a, Split):
-        if not 0 <= a.index < count:
+        if not _in_range(count, a.index):
             raise ValueError("split index out of range")
         if len(a.parts) < 2 or a.parts.union_mask != blocks[a.index]:
             raise ValueError("split parts must cut the block into two or more pieces")
@@ -325,7 +332,7 @@ def step(p: Partition, a: RuleApplication) -> Partition:
         blocks += a.parts.masks
     elif isinstance(a, Transfer):
         i, j = a.source, a.target
-        if not (0 <= i < count and 0 <= j < count) or i == j:
+        if not _in_range(count, i, j) or i == j:
             raise ValueError("transfer needs two distinct block indices in range")
         m = a.moved.mask
         if m & ~blocks[i] or m == blocks[i]:
@@ -334,7 +341,7 @@ def step(p: Partition, a: RuleApplication) -> Partition:
         blocks[j] |= m
     elif isinstance(a, Exchange):
         i, j = a.first, a.second
-        if not (0 <= i < count and 0 <= j < count) or i == j:
+        if not _in_range(count, i, j) or i == j:
             raise ValueError("exchange needs two distinct block indices in range")
         bi, bj = blocks[i], blocks[j]
         u1, u2 = a.from_first.mask, a.from_second.mask

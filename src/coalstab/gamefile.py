@@ -48,6 +48,10 @@ class _BadParam(ValueError):
 
 FAMILIES = ("example", "generalized_odd", "partition_power", "transportation", "random")
 
+# The line kinds that carry a name, each with the example its "lines look
+# like" message shows and the noun its duplicate message uses.
+_NAMED_KINDS = {"param": ("n: 3", "parameter"), "partition": ("main: {1,2} {3}", "partition name")}
+
 
 def _parse_int(raw: str, what: str) -> int:
     try:
@@ -158,9 +162,8 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     # Each header key written once: its line and value (``n`` parsed).
     header: "dict[str, tuple[int, str | int]]" = {}
     value_entries: "list[tuple[int, str, str]]" = []
-    raw_params: "dict[str, str]" = {}
-    param_lines: "dict[str, int]" = {}
-    partition_entries: "dict[str, tuple[int, str]]" = {}
+    # Each named line by kind, then name: its line and text.
+    named_entries: "dict[str, dict[str, tuple[int, str]]]" = {kind: {} for kind in _NAMED_KINDS}
 
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.partition("#")[0].strip()
@@ -193,19 +196,13 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
                     raise ParseError(f"line {lineno}: {exc}") from exc
             else:
                 header[key] = (lineno, tail)
-        elif key == "param":
+        elif key in named_entries:
+            example, noun = _NAMED_KINDS[key]
             if arg is None:
-                raise ParseError(f"line {lineno}: param lines look like 'param n: 3'")
-            if arg in raw_params:
-                raise ParseError(f"line {lineno}: duplicate parameter {arg!r}")
-            raw_params[arg] = tail
-            param_lines[arg] = lineno
-        elif key == "partition":
-            if arg is None:
-                raise ParseError(f"line {lineno}: partition lines look like 'partition main: {{1,2}} {{3}}'")
-            if arg in partition_entries:
-                raise ParseError(f"line {lineno}: duplicate partition name {arg!r}")
-            partition_entries[arg] = (lineno, tail)
+                raise ParseError(f"line {lineno}: {key} lines look like '{key} {example}'")
+            if arg in named_entries[key]:
+                raise ParseError(f"line {lineno}: duplicate {noun} {arg!r}")
+            named_entries[key][arg] = (lineno, tail)
         else:
             raise ParseError(f"line {lineno}: unknown key {head.strip()!r}")
 
@@ -214,10 +211,11 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
     n_line, n = header.get("n", (0, None))
     family_line, family = header.get("family", (0, None))
     default_entry = header.get("default")
+    params = named_entries["param"]
 
     if header["representation"][1] == "table":
-        if family is not None or raw_params:
-            first = min(ln for ln in (family_line, *param_lines.values()) if ln)
+        if family is not None or params:
+            first = min(ln for ln in (family_line, *(ln for ln, _ in params.values())) if ln)
             raise ParseError(f"line {first}: table documents do not take family/param lines")
         if n is None:
             raise ParseError("table documents need an 'n:' line")
@@ -258,9 +256,9 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
         if family is None:
             raise ParseError("rule documents need a 'family:' line")
         try:
-            game = build_family(family, raw_params)
+            game = build_family(family, {name: value for name, (_, value) in params.items()})
         except _BadParam as exc:
-            raise ParseError(f"line {param_lines[exc.name]}: {exc}") from exc
+            raise ParseError(f"line {params[exc.name][0]}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {family_line}: {exc}") from exc
         if n is not None and n != game.n:
@@ -269,7 +267,7 @@ def parse_game(text: str) -> "tuple[Game, dict[str, Partition]]":
             )
 
     named: "dict[str, Partition]" = {}
-    for name, (lineno, literal) in partition_entries.items():
+    for name, (lineno, literal) in named_entries["partition"].items():
         try:
             part = Partition.parse(literal)
         except (TypeError, ValueError) as exc:

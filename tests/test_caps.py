@@ -138,6 +138,30 @@ def test_refusal_evaluates_no_coalition(check):
     assert calls == []
 
 
+# The split scan checks each block's cap when it reaches that block, so
+# blocks are taken in order: a block before an over-cap one is scanned
+# first, which reads the value table, and answers the check if it gains.
+SPLIT_REFUSALS = [
+    ("{1,2} {3,4,5,6,7,8,9,10,11,12,13,14,15}", "{3,4,5,6,7,8,9,10,11,12,13,14,15} has 13", 2**15 - 1),
+    ("{1,3,4,5,6,7,8,9,10,11,12,13,14,15} {2}", "{1,3,4,5,6,7,8,9,10,11,12,13,14,15} has 14", 0),
+]
+
+
+@pytest.mark.parametrize("literal,block,evaluated", SPLIT_REFUSALS, ids=["second_block", "first_block"])
+def test_split_scan_refuses_an_over_cap_block_when_it_reaches_it(literal, block, evaluated):
+    calls = []
+    with pytest.raises(CapExceededError, match=f"^block {block} players, past the split-scan cap of 12$"):
+        check_dhp(zero_game(15, calls), Partition.parse(literal))
+    assert len(calls) == evaluated
+
+
+def test_a_gaining_block_before_an_over_cap_one_answers():
+    g = Game.from_rule(15, lambda mask: -1 if mask & 3 == 3 else 0)  # {1,2} gains by splitting
+    verdict = check_dhp(g, Partition.parse(SPLIT_REFUSALS[0][0]))
+    assert not verdict.stable
+    assert (verdict.witness.block_index, str(verdict.witness.parts)) == (0, "{1} {2}")
+
+
 @pytest.mark.parametrize(
     "n,k,head,cap",
     [(13, 2, "13 players", PARTITION_ENUM_CAP), (11, 10, "678569 maximizers", MAXIMIZER_CAP)],

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from coalstab import Partition, example_game, load_game
+from coalstab import cli
 from coalstab.cli import main
 from conftest import count_dp_calls
 
@@ -359,6 +360,17 @@ class TestIterate:
         )
         assert code == 2 and "unknown rule" in err["error"]
 
+    def test_blank_rule_names_skipped(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "iterate", "--game", EXA_1, "--start", "singletons",
+            "--rules", "merge,,split",
+        )
+        assert code == 0 and out["rules"] == ["merge", "split"]
+        code, _, err = run_cli(
+            capsys, "iterate", "--game", EXA_1, "--start", "singletons", "--rules", " , ",
+        )
+        assert code == 2 and err["error"] == "at least one rule is required"
+
 
 class TestOutcomes:
     def test_two_basins(self, capsys):
@@ -487,6 +499,21 @@ class TestArgparseBehavior:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--partition", "p", "--notion", "dc"],
+            ["find"],
+            ["solve"],
+            ["iterate", "--start", "p"],
+            ["outcomes", "--start", "p"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_game_subcommand_binds_its_handler(self, argv):
+        args = cli.build_parser().parse_args([*argv, "--game", EXA_1])
+        assert args.handler is getattr(cli, f"_cmd_{argv[0]}")
 
 
 @pytest.fixture(scope="module")

@@ -98,6 +98,29 @@ class TestRuleSets:
         with pytest.raises(ValueError, match="^unknown rule 'grow'; valid: merge, split, transfer, exchange$"):
             _coerce_rules(["merge", " Grow"])
 
+    @pytest.mark.parametrize(
+        "text,listed",
+        [("merge, split", ["merge", "split"]), ("split", ["split"]), (RuleName.SPLIT, [RuleName.SPLIT]),
+         (" Split ,,merge,", ["split", "merge"])],
+    )
+    def test_a_string_is_a_comma_list(self, text, listed):
+        assert _coerce_rules(text) == _coerce_rules(listed)
+
+    @pytest.mark.parametrize("text", ["", " , ", ",,"])
+    def test_a_string_of_blank_names_is_no_rule(self, text):
+        with pytest.raises(ValueError, match="^at least one rule is required$"):
+            _coerce_rules(text)
+
+    def test_every_entry_point_reads_a_rule_string(self):
+        start = Partition.parse("{1,2,3} {4}")
+        for rules in ("split", "merge,split"):
+            listed = rules.split(",")
+            assert applicable_rules(EXA_1, start, rules) == applicable_rules(EXA_1, start, listed)
+            assert is_closed(EXA_1, start, rules) == is_closed(EXA_1, start, listed)
+            assert iterate(EXA_1, start, BEST_GAIN, rules) == iterate(EXA_1, start, BEST_GAIN, listed)
+            assert closure_outcomes(EXA_1, start, rules) == closure_outcomes(EXA_1, start, listed)
+        assert applicable_rules(EXA_1, start, "split")  # the split rule applies here
+
 
 class TestApplicableRules:
     def test_merges_from_singletons_frozen(self):
@@ -237,6 +260,22 @@ class TestStep:
             step(p, Exchange(0, 1, Coalition.of(1, 2), Coalition.of(3), 1))
         with pytest.raises(TypeError, match=r"^not a rule application: \(0, 1\)$"):
             step(p, (0, 1))
+
+    # A bool is refused as a block index before any range check, as the
+    # package refuses it wherever it takes an int.
+    @pytest.mark.parametrize(
+        "application",
+        [
+            Merge((False, True), 1),
+            Split(False, Collection.of([1], [2]), 1),
+            Transfer(True, False, Coalition.of(3), 1),
+            Exchange(False, True, Coalition.of(1), Coalition.of(3), 1),
+        ],
+        ids=["merge", "split", "transfer", "exchange"],
+    )
+    def test_bool_block_index_refused(self, application):
+        with pytest.raises(TypeError, match="^block indices must be ints, not bool"):
+            step(Partition.parse("{1,2} {3,4}"), application)
 
 
 class TestIsClosed:

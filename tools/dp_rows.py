@@ -35,7 +35,11 @@ superadditive table, where every one of the Bell(8) partitions is
 reachable: under merge and split, and under all four rules.  One times
 ``parse_game`` on the 14-player int table's document, as
 ``serialize_game`` writes it, in the form the benchmark's ``solve``
-workload parses for its random 0..100 tables.
+workload parses for its random 0..100 tables.  Three time the 14-player
+strictly superadditive table: ``optimal_partition``, and ``check_dc`` at
+the grand partition on a fresh game, where every piece is pair-scanned,
+and once ``optimal_partition`` has cached its tables, untimed, where the
+split test leaves the pair scan no piece.
 Each run calls a fresh game over a table built beforehand, so a row is
 the DP, its tie walk and its cached tables, not the table's construction.
 ``SRC_DIR`` (default: this repository's ``src``) is the package to time.
@@ -63,6 +67,7 @@ from coalstab import (  # noqa: E402
     Partition,
     all_maximizers,
     applicable_rules,
+    check_dc,
     check_dhp,
     check_dp_k_strict,
     check_strict_dhp,
@@ -171,6 +176,7 @@ def main() -> None:
     grand_dhp = lambda g: (check_dhp(g, Partition.grand(g.n)), check_strict_dhp(g, Partition.grand(g.n)))
     doc = serialize_game(Game(14, table=int_table(14)))
     parse = lambda g: parse_game(doc)
+    grand_dc = lambda g: check_dc(g, Partition.grand(g.n))
     rows = [
         ("int table, n = 12", 12, int_table(12), optimal_partition),
         ("int table, n = 14", 14, int_table(14), optimal_partition),
@@ -191,6 +197,9 @@ def main() -> None:
         ("closure merge/split, n = 8", 8, superadditive_table(8), closure(DEFAULT_RULES)),
         ("closure all rules, n = 8", 8, superadditive_table(8), closure(ALL_RULES)),
         ("parse_game int table, n = 14", 14, int_table(14), parse),
+        ("superadditive, n = 14", 14, superadditive_table(14), optimal_partition),
+        ("check_dc fresh, n = 14", 14, superadditive_table(14), grand_dc),
+        ("check_dc cached, n = 14", 14, superadditive_table(14), grand_dc, optimal_partition),
     ]
     print(f"coalstab from {SRC}")
     for label, n, table, call, *prep in rows:
